@@ -55,7 +55,7 @@ from repro.serve import (
 from repro import runtime
 from repro.training import BPConfig, BPTrainer, make_trainer
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "FFInt8Trainer",

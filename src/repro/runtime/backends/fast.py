@@ -103,7 +103,7 @@ class FastBackend(ReferenceBackend):
     # kernel_area-sized, the gradient spans all positions and exceeds the
     # float32 exact-integer window for realistic feature maps); the
     # ``parallel`` backend owns the accelerated versions — tiled float32
-    # einsums with an exact-window row cap, plus the optional numba path.
+    # einsums with an exact-window row cap.
 
     def rowwise_quantized_gemm(
         self,

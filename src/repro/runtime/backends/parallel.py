@@ -8,7 +8,7 @@ the full kernel would, with the same per-row arithmetic, so the concatenated
 (or integer-summed) result is identical to the ``fast`` and ``reference``
 backends on every input.
 
-Three mechanisms stack up here:
+Two mechanisms stack up here:
 
 * **Thread tiling.**  Row blocks are dispatched to a shared
   :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy releases the GIL
@@ -25,11 +25,6 @@ Three mechanisms stack up here:
   partial sums accumulate in int64 — still bit-identical, now parallel.
   This finally takes ``int8_depthwise``/``int8_depthwise_grad`` off the
   reference integer-einsum path.
-* **Optional numba JIT.**  When numba is importable
-  (``importlib.util.find_spec("numba")``), the depthwise inner products
-  compile to ``nogil`` machine-code loops that skip operand staging
-  entirely; without numba (or if compilation fails) the NumPy tile kernels
-  above serve unchanged.  Nothing is ever downloaded or required.
 
 On single-core hosts (``num_workers == 1``) tiling cannot pay for itself, so
 the GEMM kernels delegate straight to the inherited ``fast`` implementations
@@ -40,7 +35,6 @@ simply ``fast`` with faster depthwise products.
 from __future__ import annotations
 
 import atexit
-import importlib.util
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -49,72 +43,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.backends.fast import FastBackend, exact_f32_possible
-from repro.runtime.backends.reference import (
-    integer_matmul,
-    rowwise_levels,
-    rowwise_scales,
-)
+from repro.runtime.backends.reference import rowwise_levels, rowwise_scales
 
 #: Environment override for the worker-pool width (default: CPU count).
 WORKERS_ENV_VAR = "REPRO_PARALLEL_WORKERS"
-
-_NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
-_numba_kernels: Optional[tuple] = None
-_numba_lock = threading.Lock()
-
-
-def _load_numba_kernels() -> Optional[tuple]:
-    """Compile the depthwise kernels with numba once, or return ``None``.
-
-    Gated on ``find_spec`` so environments without numba never attempt the
-    import; any compilation failure also degrades cleanly to the NumPy
-    kernels.
-    """
-    global _numba_kernels
-    if not _NUMBA_AVAILABLE:
-        return None
-    if _numba_kernels is not None:
-        return _numba_kernels or None
-    with _numba_lock:
-        if _numba_kernels is not None:
-            return _numba_kernels or None
-        try:
-            import numba
-
-            @numba.njit(nogil=True, cache=True)
-            def depthwise(cols_q, weight_q, out):  # pragma: no cover - JIT
-                positions, channels, kernel = cols_q.shape
-                for p in range(positions):
-                    for c in range(channels):
-                        acc = np.int64(0)
-                        for k in range(kernel):
-                            acc += np.int64(cols_q[p, c, k]) * np.int64(
-                                weight_q[c, k]
-                            )
-                        out[p, c] = acc
-
-            @numba.njit(nogil=True, cache=True)
-            def depthwise_grad(grad_q, cols_q, out):  # pragma: no cover - JIT
-                positions, channels, kernel = cols_q.shape
-                for p in range(positions):
-                    for c in range(channels):
-                        g = np.int64(grad_q[p, c])
-                        for k in range(kernel):
-                            out[c, k] += g * np.int64(cols_q[p, c, k])
-
-            # njit defers compilation to the first call; probe both kernels
-            # here so a broken numba install (llvmlite/LLVM mismatch, cache
-            # write failure) trips the fallback instead of crashing the
-            # first inference on a pool worker thread.
-            probe_cols = np.zeros((1, 1, 1), dtype=np.int8)
-            depthwise(probe_cols, np.zeros((1, 1), dtype=np.int8),
-                      np.zeros((1, 1), dtype=np.int64))
-            depthwise_grad(np.zeros((1, 1), dtype=np.int8), probe_cols,
-                           np.zeros((1, 1), dtype=np.int64))
-            _numba_kernels = (depthwise, depthwise_grad)
-        except Exception:  # numba present but unusable: fall back silently
-            _numba_kernels = ()
-    return _numba_kernels or None
 
 
 def _default_workers() -> int:
@@ -198,31 +130,10 @@ class ParallelBackend(FastBackend):
     def pool_active(self) -> bool:
         """True while a worker pool this process owns is live.
 
-        Shared contract with :class:`ShardBackend` — callers that start a
-        pool as a side effect (autopin calibration) consult it to release
-        pools no engine will ever close.
+        Callers that start a pool as a side effect (autopin calibration)
+        consult it to release pools no engine will ever close.
         """
         return self._pool is not None and self._pool_pid == os.getpid()
-
-    @property
-    def workers_active(self) -> bool:
-        """True when *any* worker resource (threads or processes) is live.
-
-        :attr:`pool_active` keeps backend-specific semantics (the shard
-        subclass reports its process pool there); this is the
-        union view calibration uses to decide what it started.
-        """
-        return self.pool_active
-
-    def stop_workers(self) -> None:
-        """Release worker resources without touching cached operands.
-
-        For the thread-pool backend this is simply :meth:`shutdown` (it
-        owns no shared segments); the shard subclass overrides both this
-        and :meth:`shutdown` to separate worker teardown from staged-weight
-        invalidation.
-        """
-        self.shutdown()
 
     def shutdown(self) -> None:
         """Join and release the worker-thread pool (idempotent).
@@ -371,24 +282,15 @@ class ParallelBackend(FastBackend):
             return super().int8_depthwise(cols_q, weight_q)
         positions, channels = cols_q.shape[0], cols_q.shape[1]
         out = np.empty((positions, channels), dtype=np.int64)
-        numba_kernels = _load_numba_kernels()
-        if numba_kernels is not None:
-            depthwise_jit = numba_kernels[0]
+        weight_f32 = weight_q.astype(np.float32)
 
-            def work(r0: int, r1: int) -> None:
-                depthwise_jit(cols_q[r0:r1], weight_q, out[r0:r1])
-
-        else:
-            weight_f32 = weight_q.astype(np.float32)
-
-            def work(r0: int, r1: int) -> None:
-                # The per-(position, channel) reduction spans kernel_area
-                # products bounded by 128^2, far inside float32's exact
-                # window — the float einsum vectorizes where the integer
-                # einsum cannot.
-                out[r0:r1] = np.einsum(
-                    "pck,ck->pc", cols_q[r0:r1].astype(np.float32), weight_f32
-                )
+        def work(r0: int, r1: int) -> None:
+            # The per-(position, channel) reduction spans kernel_area
+            # products bounded by 128^2, far inside float32's exact window —
+            # the float einsum vectorizes where the integer einsum cannot.
+            out[r0:r1] = np.einsum(
+                "pck,ck->pc", cols_q[r0:r1].astype(np.float32), weight_f32
+            )
 
         tiles = self._tiles(positions) or [(0, positions)]
         self._run_tiles(work, tiles)
@@ -412,41 +314,18 @@ class ParallelBackend(FastBackend):
         if tiles is None:
             tiles = [(0, positions)]
         partials = np.zeros((len(tiles),) + cols_q.shape[1:], dtype=np.int64)
-        numba_kernels = _load_numba_kernels()
-        if numba_kernels is not None:
-            grad_jit = numba_kernels[1]
+        tile_index = {r0: index for index, (r0, _) in enumerate(tiles)}
 
-            def work(index: int, r0: int, r1: int) -> None:
-                grad_jit(grad_q[r0:r1], cols_q[r0:r1], partials[index])
+        def work(r0: int, r1: int) -> None:
+            # Exact inside the tile (the row cap keeps every partial sum
+            # below 2^24); the cross-tile reduction is integer.
+            partials[tile_index[r0]] = np.einsum(
+                "pc,pck->ck",
+                grad_q[r0:r1].astype(np.float32),
+                cols_q[r0:r1].astype(np.float32),
+            )
 
-        else:
-
-            def work(index: int, r0: int, r1: int) -> None:
-                # Exact inside the tile (the row cap keeps every partial sum
-                # below 2^24); the cross-tile reduction is integer.
-                partials[index] = np.einsum(
-                    "pc,pck->ck",
-                    grad_q[r0:r1].astype(np.float32),
-                    cols_q[r0:r1].astype(np.float32),
-                )
-
-        if len(tiles) == 1 or self.num_workers == 1:
-            for index, (r0, r1) in enumerate(tiles):
-                work(index, r0, r1)
-        else:
-            pool = self._executor()
-            futures = []
-            inline = []
-            for index, (r0, r1) in enumerate(tiles[1:], start=1):
-                try:
-                    futures.append(pool.submit(work, index, r0, r1))
-                except RuntimeError:  # pool shut down mid-call: run inline
-                    inline.append((index, r0, r1))
-            work(0, *tiles[0])
-            for index, r0, r1 in inline:
-                work(index, r0, r1)
-            for future in futures:
-                future.result()
+        self._run_tiles(work, tiles)
         return partials.sum(axis=0)
 
 

@@ -55,7 +55,7 @@ _OBS_PLAN_CACHE_HITS = get_registry().counter(
 # Every live engine registers in this WeakSet so one interpreter-exit hook
 # is the single last-resort cleanup path: whatever an interrupted caller
 # (Ctrl-C mid-bench, a crashed test) leaves open still gets its kernel
-# pools stopped and shard segments unlinked.  ``close()`` stays the primary
+# pools stopped.  ``close()`` stays the primary
 # path and is idempotent, so the hook double-closing an already-closed
 # engine is free.
 _LIVE_ENGINES: "weakref.WeakSet" = weakref.WeakSet()
@@ -152,13 +152,9 @@ class FrozenInt8Kernel:
     def rhs_f32_for(self, backend) -> Optional[np.ndarray]:
         """The stable float32 GEMM operand this kernel feeds ``backend``.
 
-        Public staging hook: backends that keep weights in out-of-process
-        storage (:meth:`ShardBackend.stage_plan_weights
-        <repro.runtime.backends.shard.ShardBackend.stage_plan_weights>`)
-        fingerprint this exact array, so it must be the same object the
-        hot path later passes as ``rhs_f32`` — which it is: both routes
-        share this method.  Returns ``None`` when the backend never reads
-        a float32 copy or the reduction is not exact in float32.
+        Materialized once and reused by every later call.  Returns ``None``
+        when the backend never reads a float32 copy or the reduction is not
+        exact in float32.
         """
         if not (self._exact_f32 and backend.wants_f32_rhs):
             return None
@@ -358,9 +354,6 @@ class Int8InferenceEngine:
         # the per-layer backend pins (``pins="auto"`` resolves them from
         # measured timings at the folded-label batch height).
         self.executor = self._executor_for(pins, self._auto_rows())
-        # Backends with out-of-process weight storage (shard) stage the
-        # frozen weights once now, not on the first served request.
-        self.executor.stage_shared_weights()
         _register_live_engine(self)
 
     # ------------------------------------------------------------------ #
@@ -416,9 +409,8 @@ class Int8InferenceEngine:
     def _units_fingerprint(units: Sequence[Module]) -> str:
         """Content digest over every frozen parameter of the unit stack.
 
-        The same blake2b family the shard backend fingerprints staged
-        weight segments with; computed once at construction (the engine's
-        weights are immutable) and folded into every plan-cache key.
+        Computed once at construction (the engine's weights are immutable)
+        and folded into every plan-cache key.
         """
         digest = hashlib.blake2b(digest_size=16)
         for index, unit in enumerate(units):
@@ -494,10 +486,6 @@ class Int8InferenceEngine:
         self._active_pins = pins
         self._active_rows = self._auto_rows(batch_size)
         self.executor = self._executor_for(pins, self._active_rows)
-        # Cheap on a cache hit: weights staged for this plan are fingerprint
-        # token hits in the shard backend's segment cache.  Still called so
-        # a closed-then-reused engine restages into fresh segments.
-        self.executor.stage_shared_weights()
         return self
 
     def set_fusion(self, fuse: bool) -> "Int8InferenceEngine":
@@ -515,17 +503,14 @@ class Int8InferenceEngine:
         self.executor = self._executor_for(
             self._active_pins, self._active_rows
         )
-        self.executor.stage_shared_weights()
         return self
 
     def close(self) -> None:
         """Release kernel-backend pools this engine's plans route to.
 
         The engine owns the serving pool lifecycle: closing it shuts down
-        the worker pools (thread or process) of every backend any of its
-        **cached** plans — not just the active one — is pinned or
-        configured to use, which also unlinks the shard segments those
-        plans staged (no shared memory outlives the engine).  Backends
+        the worker pools of every backend any of its **cached** plans — not
+        just the active one — is pinned or configured to use.  Backends
         restart their pools lazily, so closing a shared backend is safe
         for other engines — they pay one pool restart, never a wrong
         answer.  Idempotent.

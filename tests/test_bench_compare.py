@@ -85,7 +85,7 @@ class TestCompareRecord:
         assert hard == [] and len(notes) == 1
 
     def test_missing_leaf_is_flagged(self):
-        base = _record({"kernels": {"case": {"fast": 1.0, "shard": 2.0}}})
+        base = _record({"kernels": {"case": {"fast": 1.0, "parallel": 2.0}}})
         fresh = _record({"kernels": {"case": {"fast": 1.0}}})
         hard, _, _ = compare.compare_record(base, fresh, 1.0)
         assert any("missing" in line for line in hard)
@@ -124,9 +124,9 @@ class TestObsContext:
 
     def test_counter_drift_is_reported(self):
         base = self._with_obs({"repro_plan_compiles_total": 1,
-                               "repro_shard_pool_resets_total": 0})
+                               "repro_replica_restarts_total": 0})
         fresh = self._with_obs({"repro_plan_compiles_total": 3,
-                                "repro_shard_pool_resets_total": 0})
+                                "repro_replica_restarts_total": 0})
         lines = compare._obs_context(base, fresh)
         assert lines == ["obs repro_plan_compiles_total: 1 -> 3"]
 

@@ -1,10 +1,10 @@
 """Cross-backend conv conformance suite.
 
 The conv serving path (BatchNorm-folded fused conv steps, im2col'd INT8
-GEMMs, process-sharded depthwise products) is only trusted because every
+GEMMs, thread-tiled depthwise products) is only trusted because every
 optimized codepath is proven bit-identical to the seed reference walk —
 the same gate DALC applies to its optimized decode path.  This suite sweeps
-kernel size / stride / padding / channels across all four backends, fused
+kernel size / stride / padding / channels across every backend, fused
 and unfused, float and frozen-INT8, and pins down:
 
 * conv / depthwise / conv+BN / conv+BN+activation outputs equal the
@@ -29,7 +29,7 @@ from repro.nn.norm import BatchNorm2d
 from repro.quant.qconfig import QuantConfig
 from repro.quant.suq import quantize
 from repro.runtime.backends import available_backends
-from repro.runtime.backends.shard import ShardBackend
+from repro.runtime.backends.parallel import ParallelBackend
 from repro.runtime.executor import PlanExecutor
 from repro.serve import build_engine, export_artifact
 from repro.serve.engine import FrozenInt8Kernel
@@ -220,8 +220,8 @@ class TestConvConformance:
             assert not x.flags["C_CONTIGUOUS"] or x.base is not None
             _assert_conformance(units, x)
 
-    def test_sharded_conv_path_with_worker_processes(self):
-        """Real multi-worker sharding: column blocks through the rings."""
+    def test_tiled_conv_path_with_worker_threads(self):
+        """Real multi-worker tiling: column blocks across pool threads."""
         rng = np.random.default_rng(19)
         units = _eval_units(
             [
@@ -234,16 +234,16 @@ class TestConvConformance:
         expected = PlanExecutor.for_units(
             units, backend="reference", fuse=False
         ).forward(x)
-        with ShardBackend(num_workers=2, min_rows=1,
-                          min_rows_per_shard=1) as backend:
+        with ParallelBackend(num_workers=2, min_rows_per_tile=1) as backend:
             for fuse in (False, True):
                 got = PlanExecutor.for_units(
                     units, backend=backend, fuse=fuse
                 ).forward(x)
                 np.testing.assert_array_equal(
                     got, expected,
-                    err_msg=f"sharded conv path diverged (fuse={fuse})",
+                    err_msg=f"tiled conv path diverged (fuse={fuse})",
                 )
+            assert backend.pool_active  # the tiles really ran on workers
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,10 @@ from repro.runtime.backends import FastBackend, ParallelBackend, ReferenceBacken
 from repro.runtime.backends.fast import exact_f32_possible
 from repro.runtime.executor import PlanExecutor, forward_through_units
 from repro.runtime.plan import validate_pins
+
+
+def _int8(rng, shape):
+    return rng.integers(-128, 128, size=shape).astype(np.int8)
 
 
 def _mlp_units(hidden_layers=2, hidden_units=32, seed=0):
@@ -145,8 +152,11 @@ class TestBackendRegistry:
         assert "reference" in names and "fast" in names
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("no-such-backend")
+        # "shard" names the retired multiprocess backend: it must stay an
+        # unknown name, never silently resolve to another backend.
+        for name in ("no-such-backend", "shard"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                get_backend(name)
 
     def test_instance_passthrough(self):
         backend = FastBackend()
@@ -787,3 +797,67 @@ class TestParallelBackend:
             np.asarray(backend.int8_gemm(lhs, rhs), dtype=np.int64),
             np.asarray(FastBackend().int8_gemm(lhs, rhs), dtype=np.int64),
         )
+
+
+class TestParallelPoolLifecycle:
+    """Pool lifecycle of a real multi-tile two-worker parallel backend."""
+
+    def test_shutdown_is_idempotent_and_restartable(self):
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
+        rng = np.random.default_rng(0)
+        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
+        first = np.asarray(backend.int8_gemm(lhs, rhs))
+        assert backend._pool is not None
+        assert backend.pool_active
+        backend.shutdown()
+        backend.shutdown()
+        assert backend._pool is None and not backend.pool_active
+        np.testing.assert_array_equal(
+            np.asarray(backend.int8_gemm(lhs, rhs)), first
+        )
+        assert backend._pool is not None
+        backend.shutdown()
+
+    def test_context_manager_shuts_down(self):
+        rng = np.random.default_rng(0)
+        with ParallelBackend(num_workers=2, min_rows_per_tile=1) as backend:
+            backend.int8_gemm(_int8(rng, (64, 16)), _int8(rng, (16, 4)))
+            assert backend._pool is not None
+        assert backend._pool is None
+
+    def test_foreign_pool_is_discarded_not_joined(self):
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
+        rng = np.random.default_rng(0)
+        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
+        want = np.asarray(backend.int8_gemm(lhs, rhs))
+        inherited = backend._pool
+        backend._pool_pid = backend._pool_pid - 1  # pretend we forked
+        got = np.asarray(backend.int8_gemm(lhs, rhs))
+        np.testing.assert_array_equal(got, want)
+        assert backend._pool is not inherited
+        inherited.shutdown(wait=True)
+        backend.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork-only test")
+    def test_real_fork_child_does_not_hang_on_inherited_pool(self):
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
+        rng = np.random.default_rng(0)
+        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
+        want = np.asarray(backend.int8_gemm(lhs, rhs))
+        assert backend._pool is not None  # the child will inherit this
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.alarm(30)
+                got = np.asarray(backend.int8_gemm(lhs, rhs))
+                if np.array_equal(got, want):
+                    status = 0
+                backend.shutdown()
+            except BaseException:
+                pass
+            finally:
+                os._exit(status)
+        _, exit_status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(exit_status) == 0
+        backend.shutdown()

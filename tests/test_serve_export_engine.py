@@ -11,6 +11,8 @@ from repro.core import (
     save_ff_checkpoint,
 )
 from repro.models import build_mlp, build_model
+from repro.runtime import register_backend
+from repro.runtime.backends import ParallelBackend
 from repro.serve import (
     InferenceArtifact,
     build_engine,
@@ -357,18 +359,18 @@ class TestTrainedRoundTrip:
 
 
 class TestEnginePoolLifecycle:
-    def test_close_shuts_down_plan_backends(self):
-        from repro.runtime.backends import ShardBackend
+    @staticmethod
+    def _tiled():
+        """A real multi-tile backend: two worker threads, one-row tiles."""
+        return ParallelBackend(num_workers=2, min_rows_per_tile=1)
 
-        backend = ShardBackend(num_workers=2, min_rows=1,
-                               min_rows_per_shard=1)
+    def test_close_shuts_down_plan_backends(self):
+        backend = self._tiled()
         try:
             artifact = _export(_mlp_h2, "sum_squares")
             engine = build_engine(
                 artifact, _mlp_h2(seed=0), backend=backend
             )
-            # Frozen weights were staged into shared segments at build time.
-            assert len(backend._staged) > 0
             engine.predict(_inputs((1, 14, 14), 40))
             assert backend.pool_active
             engine.close()
@@ -377,11 +379,29 @@ class TestEnginePoolLifecycle:
         finally:
             backend.shutdown()
 
-    def test_context_manager_closes(self):
-        from repro.runtime.backends import ShardBackend
+    def test_close_reaches_every_cached_plan(self):
+        # A plan swapped out of the active slot still holds its backend's
+        # pool; close() must release it too, not just the active plan's.
+        pinned = self._tiled()
+        register_backend("tiled-pin-test", lambda: pinned)
+        try:
+            artifact = _export(_mlp_h2, "sum_squares")
+            engine = build_engine(artifact, _mlp_h2(seed=0), backend="fast")
+            engine.apply_pins({"gemm": "tiled-pin-test"})
+            engine.predict(_inputs((1, 14, 14), 40))
+            assert pinned.pool_active
+            engine.apply_pins(None)
+            engine.close()
+            assert not pinned.pool_active
+        finally:
+            from repro.runtime.backends import _FACTORIES, _INSTANCES
 
-        backend = ShardBackend(num_workers=2, min_rows=1,
-                               min_rows_per_shard=1)
+            _FACTORIES.pop("tiled-pin-test", None)
+            _INSTANCES.pop("tiled-pin-test", None)
+            pinned.shutdown()
+
+    def test_context_manager_closes(self):
+        backend = self._tiled()
         try:
             artifact = _export(_mlp_h2, "sum_squares")
             with build_engine(
@@ -393,22 +413,19 @@ class TestEnginePoolLifecycle:
         finally:
             backend.shutdown()
 
-    def test_sharded_engine_matches_reference(self):
-        from repro.runtime.backends import ShardBackend
-
-        backend = ShardBackend(num_workers=2, min_rows=1,
-                               min_rows_per_shard=1)
+    def test_tiled_engine_matches_reference(self):
+        backend = self._tiled()
         try:
             artifact = _export(_mlp_h2, "sum_squares")
             inputs = _inputs((1, 14, 14), 48)
             with build_engine(
                 artifact, _mlp_h2(seed=0), backend=backend
             ) as engine:
-                sharded = engine.predict(inputs)
+                tiled = engine.predict(inputs)
             reference = build_engine(
                 artifact, _mlp_h2(seed=1), backend="reference"
             ).predict(inputs)
-            np.testing.assert_array_equal(sharded, reference)
+            np.testing.assert_array_equal(tiled, reference)
         finally:
             backend.shutdown()
 
