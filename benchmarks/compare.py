@@ -47,13 +47,10 @@ def _is_time_key(path: str) -> bool:
 
     Wall clock shows up two ways: suffix conventions on scalar keys
     (``*_ms``, ``*_rps``, percentile names) and whole subtrees that are
-    nothing but timings (the kernel microbenchmark's ``kernels``/
-    ``fused_plan`` tables).
+    nothing but timings (the kernel microbenchmark's ``kernels`` table).
     """
     lowered = path.lower()
-    if "kernels." in lowered or "fused_plan." in lowered or (
-        "fused_conv_plan." in lowered
-    ):
+    if "kernels." in lowered:
         return True
     if "check_ns." in lowered:  # obs_overhead per-call guard timings
         return True

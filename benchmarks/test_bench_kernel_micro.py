@@ -1,10 +1,9 @@
-"""Experiment K1 — kernel microbenchmark: gemm / depthwise / fused, per backend.
+"""Experiment K1 — kernel microbenchmark: gemm / depthwise, per backend.
 
 End-to-end serving numbers fold queueing, Python dispatch and model shape
 into one figure; this benchmark times the *kernels* in isolation so a
-backend win (or regression) is attributable.  Four kernel cases run on every
-registered backend, plus the fused-vs-unfused executor comparison on the
-serve-shaped GEMM+activation stack:
+backend win (or regression) is attributable.  These kernel cases run on
+every registered backend:
 
 * ``gemm_large``    — INT8 GEMM at a deliberately wide shape (the case the
   CI bench-smoke job watches: ``parallel`` must not lose to ``fast`` here).
@@ -16,10 +15,6 @@ serve-shaped GEMM+activation stack:
   parallel backend tiles the column blocks across its worker threads.
 * ``depthwise`` / ``depthwise_grad`` — the MobileNet/EfficientNet hot path
   the parallel backend took off the reference integer-einsum kernels.
-* ``fused_plan``    — the compiled norm→gemm→activation serving stack,
-  fused vs unfused, on the fusion-capable backends.
-* ``fused_conv_plan`` — the compiled conv→batchnorm→activation stack
-  (eval-mode BatchNorm folded into the conv epilogue), fused vs unfused.
 
 This record doubles as the data source for measured auto-pinning
 (:mod:`repro.runtime.autopin` reads the per-shape, per-backend timings and
@@ -42,14 +37,7 @@ import pytest
 
 from benchmarks._common import emit, run_once, save_experiment
 from repro.analysis import ExperimentResult, format_table
-from repro.models import build_mlp
-from repro.nn.activations import ReLU, ReLU6
-from repro.nn.containers import Sequential
-from repro.nn.conv import Conv2d, DepthwiseConv2d
-from repro.nn.norm import BatchNorm2d
-from repro.quant import QuantConfig, prepare_int8
 from repro.runtime import available_backends, get_backend
-from repro.runtime.executor import PlanExecutor
 
 
 REPEATS = 3 if os.environ.get("REPRO_BENCH_FAST") else 7
@@ -117,52 +105,6 @@ def _as_comparable(value):
     return (np.asarray(value, dtype=np.float64),)
 
 
-def _serve_stack(seed: int = 0):
-    """Eval-mode INT8 MLP units at the serving shape, plus a folded batch."""
-    bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
-                       hidden_units=SERVE_OUT, seed=seed)
-    units = bundle.ff_units()
-    for index, unit in enumerate(units):
-        prepare_int8(unit, QuantConfig(rounding="nearest"), seed=seed + index)
-        unit.eval()
-        unit.set_activation_caching(False)
-    inputs = np.random.default_rng(seed).normal(
-        size=(SERVE_ROWS, SERVE_IN)
-    ).astype(np.float32)
-    return units, inputs
-
-
-def _conv_stack(seed: int = 0):
-    """Eval-mode INT8 conv→BN→activation units (the conv serving blocks)."""
-    units = [
-        Sequential(
-            Conv2d(3, 16, 3, stride=1, padding=1, bias=False, rng=seed),
-            BatchNorm2d(16), ReLU(),
-        ),
-        Sequential(
-            DepthwiseConv2d(16, 3, stride=1, padding=1, rng=seed + 1),
-            BatchNorm2d(16), ReLU6(),
-        ),
-    ]
-    rng = np.random.default_rng(seed + 2)
-    for index, unit in enumerate(units):
-        prepare_int8(unit, QuantConfig(rounding="nearest"), seed=seed + index)
-        for module in unit.modules():
-            if isinstance(module, BatchNorm2d):
-                # Non-trivial running statistics so the BatchNorm fold is
-                # exercised, not a multiply-by-one.
-                module.running_mean = rng.normal(
-                    size=module.num_features
-                ).astype(np.float32)
-                module.running_var = (
-                    rng.random(module.num_features).astype(np.float32) + 0.5
-                )
-        unit.eval()
-        unit.set_activation_caching(False)
-    inputs = rng.normal(size=(8, 3, 16, 16)).astype(np.float32)
-    return units, inputs
-
-
 def _measure():
     backends = available_backends()
     cases = _kernel_cases()
@@ -178,41 +120,13 @@ def _measure():
                     err_msg=f"{name} diverged from reference on {case}",
                 )
             timings[case][name] = _best_ms(lambda: kernel(backend))
-
-    fused = {}
-    fused_conv = {}
-    for name in backends:
-        if not getattr(get_backend(name), "supports_fusion", False):
-            continue
-        for stack, table in ((_serve_stack, fused), (_conv_stack, fused_conv)):
-            units, inputs = stack()
-            fused_exec = PlanExecutor.for_units(units, backend=name)
-            unfused_exec = PlanExecutor.for_units(
-                units, backend=name, fuse=False
-            )
-            np.testing.assert_array_equal(
-                fused_exec.forward(inputs), unfused_exec.forward(inputs),
-                err_msg=f"fused plan diverged on backend {name}",
-            )
-            fused_ms = _best_ms(lambda: fused_exec.forward(inputs))
-            unfused_ms = _best_ms(lambda: unfused_exec.forward(inputs))
-            table[name] = {
-                "fused_ms": fused_ms,
-                "unfused_ms": unfused_ms,
-                "speedup": unfused_ms / fused_ms if fused_ms else 0.0,
-            }
-    return {
-        "kernels": timings,
-        "fused_plan": fused,
-        "fused_conv_plan": fused_conv,
-    }
+    return {"kernels": timings}
 
 
 @pytest.mark.benchmark(group="kernel_micro")
 def test_kernel_microbenchmark(benchmark):
     measured = run_once(benchmark, _measure)
-    timings, fused = measured["kernels"], measured["fused_plan"]
-    fused_conv = measured["fused_conv_plan"]
+    timings = measured["kernels"]
     backends = available_backends()
 
     rows = [
@@ -225,31 +139,12 @@ def test_kernel_microbenchmark(benchmark):
         title="kernel microbenchmark (best-of-%d)" % REPEATS,
         float_format="{:.3f}",
     ))
-    emit(format_table(
-        ["backend", "unfused (ms)", "fused (ms)", "speedup"],
-        [
-            [name, stats["unfused_ms"], stats["fused_ms"], stats["speedup"]]
-            for name, stats in fused.items()
-        ],
-        title="fused vs unfused serve-shaped plan (norm→gemm→activation x2)",
-        float_format="{:.3f}",
-    ))
-    emit(format_table(
-        ["backend", "unfused (ms)", "fused (ms)", "speedup"],
-        [
-            [name, stats["unfused_ms"], stats["fused_ms"], stats["speedup"]]
-            for name, stats in fused_conv.items()
-        ],
-        title="fused vs unfused conv plan (conv→BN→act + depthwise→BN→act)",
-        float_format="{:.3f}",
-    ))
 
     result = ExperimentResult(
         experiment_id="kernel_micro",
         paper_reference="runtime backends (not in paper)",
         description="Kernel-level microbenchmark: INT8 GEMM, rowwise-"
-                    "quantized GEMM, depthwise products and fused plans "
-                    "per backend",
+                    "quantized GEMM and depthwise products per backend",
         parameters={
             "repeats": REPEATS,
             "gemm_large": [LARGE_M, LARGE_K, LARGE_N],
@@ -264,19 +159,9 @@ def test_kernel_microbenchmark(benchmark):
     )
     save_experiment(result)
 
-    # The structural wins fusion/tiling pay for must actually show up; on
-    # shared runners the checks are advisory unless REPRO_BENCH_STRICT=1.
-    # The fused yardstick is the *unfused fast* time — the hot path before
-    # this layer existed — not each backend against itself, which on
-    # single-core hosts drowns in worker-pool jitter for ``parallel``.
+    # The structural win tiling pays for must actually show up; on shared
+    # runners the check is advisory unless REPRO_BENCH_STRICT=1.
     complaints = []
-    baseline = fused.get("fast", {}).get("unfused_ms")
-    for name, stats in fused.items():
-        if baseline is not None and stats["fused_ms"] >= baseline:
-            complaints.append(
-                f"fused {name} plan did not beat the unfused fast path "
-                f"({stats['fused_ms']:.3f}ms vs {baseline:.3f}ms)"
-            )
     parallel_large = timings["gemm_large"].get("parallel")
     fast_large = timings["gemm_large"].get("fast")
     if parallel_large is not None and fast_large is not None:

@@ -87,8 +87,8 @@ def main() -> None:
 
     # 3. The slowest request's life, as a span tree.  Every hop is a span:
     #    batcher bookkeeping, the coalesced engine pass, and each kernel
-    #    step with its backend attribution (fused steps stay fused —
-    #    timing never changes what it measures).
+    #    step with its backend attribution (step timing adds no
+    #    per-module hooks, so it stays close to untraced serving).
     print(f"\nslowest of {args.requests} traced requests:")
     for trace in slowest_traces(1):
         print(format_trace(trace))

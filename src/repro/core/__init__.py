@@ -32,7 +32,6 @@ from repro.core.lookahead import (
     accumulate_chained_gradients,
     accumulate_local_gradients,
     accumulate_lookahead_gradients,
-    forward_through_units,
     unit_losses_and_grads,
 )
 from repro.core.losses import (
@@ -62,7 +61,6 @@ __all__ = [
     "negative_loss",
     "positive_loss_grad",
     "negative_loss_grad",
-    "forward_through_units",
     "unit_losses_and_grads",
     "accumulate_local_gradients",
     "accumulate_chained_gradients",

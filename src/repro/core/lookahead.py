@@ -34,7 +34,6 @@ import numpy as np
 from repro.core.goodness import GoodnessFunction
 from repro.core.losses import FFLoss
 from repro.nn.module import Module
-from repro.runtime.executor import forward_through_units
 
 LOOKAHEAD_MODES = ("chained", "local")
 

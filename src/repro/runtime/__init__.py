@@ -3,11 +3,10 @@
 One execution layer for every workload:
 
 * :func:`compile_plan` lowers an FF unit stack into a flat
-  :class:`ExecutionPlan` of kernel steps, optionally fusing
-  norm→gemm→activation runs and pinning individual layers to a backend;
-  :class:`PlanExecutor` runs it — training forward passes, goodness
-  classification, readout features and batched serving all execute the
-  same plan code.
+  :class:`ExecutionPlan` of kernel steps, one per leaf module, optionally
+  pinning individual layers to a backend; :class:`PlanExecutor` runs it —
+  training forward passes, goodness classification, readout features and
+  batched serving all execute the same plan code.
 * :mod:`repro.runtime.backends` hosts the kernel backends: ``reference``
   (the seed NumPy arithmetic), ``fast`` (exact-float32 BLAS integer GEMMs
   with preallocated scratch) and ``parallel`` (row-block thread tiling
@@ -63,9 +62,7 @@ _LAZY = {
     "step_kind": "repro.runtime.plan",
     "STEP_KINDS": "repro.runtime.plan",
     "AUTO_PINS": "repro.runtime.plan",
-    "activation_applier": "repro.runtime.plan",
     "PlanExecutor": "repro.runtime.executor",
-    "forward_through_units": "repro.runtime.executor",
     "autopin": "repro.runtime.autopin",
     "calibrate": "repro.runtime.autopin",
     "AUTOPIN_CANDIDATES": "repro.runtime.autopin",
@@ -110,9 +107,7 @@ __all__ = [
     "step_kind",
     "STEP_KINDS",
     "AUTO_PINS",
-    "activation_applier",
     "PlanExecutor",
-    "forward_through_units",
     "autopin",
     "calibrate",
     "AUTOPIN_CANDIDATES",

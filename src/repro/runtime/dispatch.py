@@ -222,29 +222,6 @@ def rowwise_quantized_gemm(
     return acc, scales
 
 
-def fused_matmul_bias_act(
-    x: np.ndarray,
-    weight_t: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    act=None,
-    backend: BackendLike = None,
-) -> np.ndarray:
-    """Fused ``act(x @ weight_t + bias)`` (instrumented as the GEMM's MACs).
-
-    Bias addition and activation are elementwise passes that Table IV's MAC
-    accounting never counted on the unfused path either, so the fused step
-    attributes exactly the constituent GEMM's FP32 MACs — fusion changes the
-    allocation profile, never the op accounting.
-    """
-    out = active_backend(backend).fused_matmul_bias_act(x, weight_t, bias, act)
-    if instrument.hooks_active():
-        instrument.emit_fp32_macs(
-            int(np.prod(x.shape[:-1], dtype=np.int64)) * int(x.shape[-1])
-            * int(weight_t.shape[-1])
-        )
-    return out
-
-
 def rowwise_quantize(
     values: np.ndarray,
     qmax: int = 127,
@@ -269,7 +246,6 @@ __all__ = [
     "pin_backend",
     "autopin",
     "matmul",
-    "fused_matmul_bias_act",
     "int8_gemm",
     "int8_depthwise",
     "int8_depthwise_grad",

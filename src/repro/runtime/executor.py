@@ -1,24 +1,17 @@
 """Plan execution: the one forward path every workload routes through.
 
-Before the runtime layer, the repo carried three hand-rolled forward walks
-that had to stay numerically identical — the FF trainer's
-``forward_through_units``, :class:`FFGoodnessClassifier` inference, and the
-serving engine's folded-label readout.  :class:`PlanExecutor` replaces all
-of them: it runs a compiled :class:`~repro.runtime.plan.ExecutionPlan` step
-by step on a selected backend, and offers the derived read-outs (per-unit
-activities, accumulated goodness, label-probe goodness matrices in both the
-per-label-loop and folded-batch forms) in one place.
+The FF trainer's forward pass, :class:`FFGoodnessClassifier` inference and
+the serving engine's folded-label readout all run through
+:class:`PlanExecutor`: it runs a compiled
+:class:`~repro.runtime.plan.ExecutionPlan` step by step on a selected
+backend, and offers the derived read-outs (per-unit activities, accumulated
+goodness, label-probe goodness matrices in both the per-label-loop and
+folded-batch forms) in one place.
 
 Numerical contract: executing a plan is arithmetic-identical to walking the
-original module tree.  Unfused steps *are* the original modules; fused
-norm→gemm→activation steps run the same arithmetic through the backend's
-``fused_*`` kernels (skipping the intermediate materializations), and the
-executor falls back to the step-by-step module walk whenever fusion could be
-observable — on backends without fusion support (``reference``), when a
-constituent module must fill its activation cache for a backward pass, or
-while instrumentation hooks are registered (so per-module observers miss
-nothing).  Only the GEMMs inside route through the pluggable backend, and
-every shipped backend is exact.
+original module tree, because every step *is* one of the original modules.
+Only the GEMMs inside route through the pluggable backend, and every shipped
+backend is exact.
 """
 
 from __future__ import annotations
@@ -29,159 +22,11 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.functional import im2col
 from repro.nn.module import Module
-from repro.nn.norm import _BatchNormBase
 from repro.obs import trace as obs_trace
 from repro.runtime import dispatch, instrument
 from repro.runtime.dispatch import BackendLike
-from repro.runtime.plan import (
-    ExecutionPlan,
-    KernelStep,
-    activation_applier,
-    compile_plan,
-)
-
-
-def _fused_fallback_required(step: KernelStep) -> bool:
-    """True when a fused step must run as the original module walk.
-
-    A constituent that would cache activations (training mode with caching
-    enabled) needs its module ``forward`` to run so the backward pass finds
-    its tensors; fused execution would silently starve it.  A training-mode
-    BatchNorm must mutate its running statistics, which only its module
-    ``forward`` does — folding it would silently freeze the stats — so it
-    refuses to fold regardless of the caching flag.
-    """
-    for sub in step.fused:
-        module = sub.module
-        if module.training and (
-            module.cache_activations or isinstance(module, _BatchNormBase)
-        ):
-            return True
-    return False
-
-
-def _batchnorm_applier(norm: Module):
-    """In-place eval-mode BatchNorm epilogue over channel-trailing rows.
-
-    Computes exactly the module's eval arithmetic — ``x_hat = (x - mean) *
-    inv_std`` then ``gamma * x_hat + beta``, each a separate float32 ufunc
-    pass — on a ``(rows, channels)`` GEMM output, where broadcasting over
-    the trailing axis pairs every element with the same per-channel
-    statistics the NCHW module walk would.  Elementwise, so the result is
-    bit-identical whatever layout the values sit in.
-    """
-    def apply(out: np.ndarray) -> np.ndarray:
-        inv_std = 1.0 / np.sqrt(norm.running_var + norm.eps)
-        out -= norm.running_mean
-        out *= inv_std
-        out *= norm.gamma.data
-        out += norm.beta.data
-        return out
-
-    return apply
-
-
-def _split_fused(step: KernelStep):
-    """(pre_norm, core, post_norm, activation) constituents of a fused step."""
-    pre = core = post = act = None
-    for sub in step.fused:
-        if sub.kind == "norm":
-            if isinstance(sub.module, _BatchNormBase):
-                post = sub
-            else:
-                pre = sub
-        elif sub.kind == "activation":
-            act = sub
-        else:
-            core = sub
-    return pre, core, post, act
-
-
-def _run_fused_conv(
-    core: KernelStep, hidden: np.ndarray, bn_apply, act_apply
-) -> np.ndarray:
-    """Execute a fused conv/depthwise step: one im2col'd GEMM + epilogues.
-
-    The convolution lowers exactly as its module forward does (same im2col,
-    same GEMM through the quant engine or :func:`dispatch.matmul`, same
-    bias add); the BatchNorm fold and activation then run as elementwise
-    passes on the ``(positions, channels)`` column-layout output *before*
-    the NCHW transpose — skipping the intermediate 4-D materializations the
-    module walk pays between conv, norm and activation.
-    """
-    module = core.module
-    batch = hidden.shape[0]
-    _, _, out_h, out_w = module.output_shape(hidden.shape)
-    cols = im2col(hidden, module.kernel_size, module.stride, module.padding)
-    if core.kind == "depthwise":
-        channels = module.channels
-        kernel_area = module.kernel_size[0] * module.kernel_size[1]
-        cols = cols.reshape(-1, channels, kernel_area)
-        weight = module.weight.data.reshape(channels, kernel_area)
-        if module.quant_engine is not None:
-            out = module.quant_engine.depthwise_forward(cols, weight)
-        else:
-            out = np.einsum("pck,ck->pc", cols, weight)
-    else:
-        channels = module.out_channels
-        weight_matrix = module.weight.data.reshape(channels, -1)
-        if module.quant_engine is not None:
-            out = module.quant_engine.linear_forward(cols, weight_matrix)
-        else:
-            out = dispatch.matmul(cols, weight_matrix.T)
-    if module.bias is not None:
-        out = out + module.bias.data
-    out = out.astype(np.float32, copy=False)
-    if bn_apply is not None:
-        out = bn_apply(out)
-    if act_apply is not None:
-        out = act_apply(out)
-    out = out.reshape(batch, out_h, out_w, channels)
-    return out.transpose(0, 3, 1, 2).astype(np.float32)
-
-
-def _run_fused(step: KernelStep, hidden: np.ndarray) -> np.ndarray:
-    """Execute a fused plan step on the active backend."""
-    backend = dispatch.active_backend()
-    pre, core, post, act = _split_fused(step)
-    applier = activation_applier(act.module) if act is not None else None
-    bn_apply = _batchnorm_applier(post.module) if post is not None else None
-    if core.kind in ("conv", "depthwise"):
-        return _run_fused_conv(core, hidden, bn_apply, applier)
-    gemm = core.module
-    if pre is not None:
-        hidden = backend.fused_ffnorm(hidden, pre.module.eps)
-    if hidden.ndim != 2:
-        hidden = hidden.reshape(hidden.shape[0], -1)
-    if gemm.quant_engine is not None:
-        # The engine performs its own dispatched, op-counted GEMM; bias,
-        # BatchNorm fold and activation then mutate its freshly-allocated
-        # output in place.
-        out = gemm.quant_engine.linear_forward(hidden, gemm.weight.data)
-        if gemm.bias is not None:
-            out += gemm.bias.data
-        out = out.astype(np.float32, copy=False)
-        if bn_apply is not None:
-            out = bn_apply(out)
-        if applier is not None:
-            out = applier(out)
-        return out
-    if bn_apply is not None:
-        epilogue = (
-            bn_apply if applier is None
-            else (lambda out: applier(bn_apply(out)))
-        )
-    else:
-        epilogue = applier
-    return dispatch.fused_matmul_bias_act(
-        hidden,
-        gemm.weight.data.T,
-        None if gemm.bias is None else gemm.bias.data,
-        epilogue,
-        backend=backend,
-    )
+from repro.runtime.plan import ExecutionPlan, KernelStep, compile_plan
 
 
 class PlanExecutor:
@@ -217,21 +62,20 @@ class PlanExecutor:
         flatten_input: bool = False,
         backend: BackendLike = None,
         static_eval: bool = False,
-        fuse: bool = True,
         pins: Optional[Dict[str, str]] = None,
         auto_rows: Optional[int] = None,
         auto_input_shape: Optional[Sequence[int]] = None,
     ) -> "PlanExecutor":
         """Compile ``units`` and wrap the plan in an executor.
 
-        ``fuse``, ``pins``, ``auto_rows`` and ``auto_input_shape`` forward
-        to :func:`compile_plan` (fused norm/gemm/conv/activation steps,
-        per-layer backend pinning — hand-written or ``pins="auto"``
-        measured, with conv rows scaled by the feature-map positions).
+        ``pins``, ``auto_rows`` and ``auto_input_shape`` forward to
+        :func:`compile_plan` (per-layer backend pinning — hand-written or
+        ``pins="auto"`` measured, with conv rows scaled by the feature-map
+        positions).
         """
         return cls(
-            compile_plan(units, flatten_input=flatten_input, fuse=fuse,
-                         pins=pins, auto_rows=auto_rows,
+            compile_plan(units, flatten_input=flatten_input, pins=pins,
+                         auto_rows=auto_rows,
                          auto_input_shape=auto_input_shape),
             backend,
             static_eval=static_eval,
@@ -277,7 +121,7 @@ class PlanExecutor:
 
     # ------------------------------------------------------------------ #
     def _run_step(self, step: KernelStep, hidden: np.ndarray) -> np.ndarray:
-        """Execute one plan step (honouring pins and fused fast paths).
+        """Execute one plan step (honouring its backend pin).
 
         The observability check is two thread-local/module attribute reads;
         un-observed requests take the original path untouched, which is what
@@ -287,18 +131,17 @@ class PlanExecutor:
             return self._run_step_observed(step, hidden)
         if step.backend is not None:
             with dispatch.pin_backend(step.backend):
-                return self._execute(step, hidden)
-        return self._execute(step, hidden)
+                return step.module(hidden)
+        return step.module(hidden)
 
     def _run_step_observed(
         self, step: KernelStep, hidden: np.ndarray
     ) -> np.ndarray:
         """Timed variant of :meth:`_run_step`: span + ``on_step`` emission.
 
-        Runs the *same* execution path — including fused kernels, because
-        step hooks live outside the unfusing registry — and attributes each
-        step to the backend that actually ran it (the pin, the executor
-        selection, or the ambient default, resolved inside the pin context).
+        Runs the *same* execution path and attributes each step to the
+        backend that actually ran it (the pin, the executor selection, or
+        the ambient default, resolved inside the pin context).
         """
         rows = int(hidden.shape[0])
         cols = int(np.prod(hidden.shape[1:])) if hidden.ndim > 1 else 1
@@ -308,40 +151,15 @@ class PlanExecutor:
             if step.backend is not None:
                 with dispatch.pin_backend(step.backend):
                     backend_name = dispatch.active_backend().name
-                    fused = self._step_runs_fused(step)
-                    out = self._execute(step, hidden)
+                    out = step.module(hidden)
             else:
                 backend_name = dispatch.active_backend().name
-                fused = self._step_runs_fused(step)
-                out = self._execute(step, hidden)
+                out = step.module(hidden)
             duration_ms = (perf_counter() - start_s) * 1e3
             attrs["backend"] = backend_name
-            attrs["fused"] = fused
         if instrument.step_hooks_active():
             instrument.emit_step(step, duration_ms, backend_name, rows)
         return out
-
-    def _step_runs_fused(self, step: KernelStep) -> bool:
-        """Will ``_execute`` run this step through the fused kernels?
-
-        Must be asked with the step's backend pin already applied — the
-        answer depends on the *active* backend's fusion support.
-        """
-        return (
-            step.kind == "fused"
-            and getattr(dispatch.active_backend(), "supports_fusion", False)
-            and not instrument.hooks_active()
-            and not _fused_fallback_required(step)
-        )
-
-    def _execute(self, step: KernelStep, hidden: np.ndarray) -> np.ndarray:
-        if step.kind != "fused":
-            return step.module(hidden)
-        if not self._step_runs_fused(step):
-            for sub in step.fused:
-                hidden = sub.module(hidden)
-            return hidden
-        return _run_fused(step, hidden)
 
     @contextmanager
     def inference_mode(self) -> Iterator[None]:
@@ -457,15 +275,4 @@ class PlanExecutor:
         )
 
 
-def forward_through_units(
-    units: Sequence[Module], inputs: np.ndarray
-) -> List[np.ndarray]:
-    """Run one shared forward pass, returning every unit's output activity.
-
-    Compatibility shim over :class:`PlanExecutor` for callers holding a bare
-    unit list; hot loops should compile once and reuse the executor.
-    """
-    return PlanExecutor.for_units(units).unit_outputs(inputs)
-
-
-__all__ = ["PlanExecutor", "forward_through_units"]
+__all__ = ["PlanExecutor"]

@@ -6,13 +6,6 @@ Observers register an :class:`Instrumentation` hook and see the traffic of
 *any* backend — the op counting behind Table IV and the hardware profiler
 both plug in this way, so neither needs code inside the kernels themselves.
 
-Fused plan steps keep this contract intact: a fused GEMM emits exactly the
-MACs its constituent ops would (bias/activation passes were never counted as
-MACs on the unfused path either), and while any hook is registered the
-executor runs fused steps as the original step-per-module walk — so
-per-module observers (``on_module``) miss nothing and Table IV accounting is
-unchanged by fusion.
-
 :class:`OpCounts` (formerly ``repro.quant.int8_ops.OpCounts``, re-exported
 there for compatibility) is the canonical counter record;
 :class:`OpCountingHook` adapts it to the hook protocol.
@@ -21,9 +14,9 @@ Step timing lives in a **separate registry** (:func:`register_step_hook`):
 ``on_step`` observes each executed :class:`~repro.runtime.plan.KernelStep`
 with its wall-clock duration and the backend that ran it, *without*
 counting as an "active hook" — so a registered :class:`StepTimingHook`
-never forces the executor off the fused path the way per-module observers
-do.  That separation is the point: timing must measure the plan the
-process actually serves, fusion included.
+does not switch on the per-module ``emit_module`` calls and FP32 MAC
+emission that :func:`hooks_active` gates.  That separation is the point:
+traced step timing stays close to what the process serves untraced.
 """
 
 from __future__ import annotations
@@ -101,8 +94,8 @@ class Instrumentation:
         """A plan :class:`~repro.runtime.plan.KernelStep` finished executing.
 
         Fires only for hooks attached via :func:`register_step_hook`; unlike
-        the events above it does not disturb fusion, so ``duration_ms`` is
-        the time of the step as actually served (fused or not).
+        the events above it adds no per-module emission, so ``duration_ms``
+        stays close to the time of the step as served untraced.
         """
 
 
@@ -197,7 +190,7 @@ def counting(counts: Optional[OpCounts] = None) -> Iterator[OpCounts]:
 
 
 # --------------------------------------------------------------------------- #
-# step-timing registry (does NOT force unfusing)
+# step-timing registry (does NOT switch on per-module emission)
 # --------------------------------------------------------------------------- #
 def step_hooks_active() -> bool:
     """Cheap executor guard: is anyone listening for step timings?"""
@@ -208,8 +201,8 @@ def register_step_hook(hook: Instrumentation) -> Instrumentation:
     """Attach a hook that receives ``on_step`` events.
 
     Deliberately a separate registry from :func:`register_hook`: step hooks
-    do not flip :func:`hooks_active`, so the executor keeps running fused
-    steps fused and the timings describe production execution.
+    do not flip :func:`hooks_active`, so no per-module ``emit_module`` or
+    MAC emission runs and the timings stay close to production execution.
     """
     global _STEP_HOOKS
     with _REGISTRY_LOCK:
@@ -254,8 +247,8 @@ class StepTimingHook(Instrumentation):
 
     Register through :func:`register_step_hook` (or the :func:`step_timing`
     context manager) — never :func:`register_hook` — so measuring does not
-    change what is measured: fused steps stay fused and the aggregates
-    describe the plan as served.
+    change what is measured: no per-module emission is switched on and the
+    aggregates describe the plan as served.
     """
 
     def __init__(self) -> None:

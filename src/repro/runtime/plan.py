@@ -8,27 +8,12 @@ forward *is* the sequence); structured modules such as residual adds and
 squeeze-excite gates stay opaque ``module`` steps so their exact gradient
 topology is preserved.
 
-Two optimization passes run over the lowered steps:
-
-* **Per-layer backend pinning** (``pins=``): individual steps carry a
-  backend override (``"gemm"``, ``"unit0"``, ``"unit1.gemm"`` specs) that
-  :mod:`repro.runtime.dispatch` resolves as the most specific selection —
-  wide layers can run the tiled ``parallel`` kernels while narrow ones stay
-  on single-threaded BLAS.
-* **Fusion** (``fuse=True``, the default): adjacent ``norm→gemm``,
-  ``gemm→activation`` and ``norm→gemm→activation`` runs inside one unit
-  collapse into a single ``fused`` step, and so do the convolutional
-  serving blocks — ``conv→batchnorm→activation``, ``depthwise→batchnorm→
-  activation`` and ``gemm→batchnorm→activation`` (eval-mode BatchNorm is
-  folded into the GEMM epilogue as an exact per-channel affine, applied in
-  the im2col column layout before the NCHW transpose).  The executor runs
-  fused steps through the backend's ``fused_*`` kernels without
-  materializing the intermediate module outputs; backends that do not
-  support fusion (the ``reference`` oracle), training-mode steps that must
-  fill activation caches or update BatchNorm running statistics, and
-  instrumented runs all fall back to the original step-by-step module walk
-  — so fusion never changes a number, only the amount of allocation
-  between kernels.
+Every step is exactly one module, so executing a plan *is* the module walk.
+The one pass over the lowered steps is **per-layer backend pinning**
+(``pins=``): individual steps carry a backend override (``"gemm"``,
+``"unit0"``, ``"unit1.gemm"`` specs) that :mod:`repro.runtime.dispatch`
+resolves as the most specific selection — wide layers can run the tiled
+``parallel`` kernels while narrow ones stay on single-threaded BLAS.
 
 The compiled :class:`ExecutionPlan` is what every forward path in the repo
 executes (training, label-probe classification, softmax readout features,
@@ -40,22 +25,18 @@ selected backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nn.activations import LeakyReLU, ReLU, ReLU6, Sigmoid, SiLU, Tanh
 from repro.nn.containers import Sequential
 from repro.nn.conv import Conv2d, DepthwiseConv2d
 from repro.nn.dropout import Dropout
-from repro.nn.functional import sigmoid
 from repro.nn.linear import Linear
 from repro.nn.module import Identity, Module
 from repro.nn.norm import FFLayerNorm, _BatchNormBase
 from repro.nn.pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
 
-#: step kinds a plan can contain (``reshape`` is the synthetic input flatten,
-#: ``fused`` a collapsed norm/gemm/activation run)
+#: step kinds a plan can contain (``reshape`` is the synthetic input flatten)
 STEP_KINDS = (
     "gemm",
     "conv",
@@ -67,6 +48,7 @@ STEP_KINDS = (
     "identity",
     "reshape",
     "module",
+    # Reserved: no step carries it; kept so perfbench's _KINDS equals this.
     "fused",
 )
 
@@ -92,102 +74,28 @@ def step_kind(module: Module) -> str:
     return "module"
 
 
-# --------------------------------------------------------------------------- #
-# fused activation appliers
-# --------------------------------------------------------------------------- #
-def _apply_relu(out: np.ndarray) -> np.ndarray:
-    # Masked store rather than np.maximum: identical to the module's
-    # ``np.where(x > 0, x, 0.0)`` even for NaN (mapped to 0) and -0.0.
-    out[~(out > 0.0)] = 0.0
-    return out
-
-
-def _apply_relu6(out: np.ndarray) -> np.ndarray:
-    np.clip(out, 0.0, 6.0, out=out)
-    return out
-
-
-def _apply_sigmoid(out: np.ndarray) -> np.ndarray:
-    return sigmoid(out)
-
-
-def _apply_silu(out: np.ndarray) -> np.ndarray:
-    sig = sigmoid(out)
-    out *= sig
-    return out
-
-
-def _apply_tanh(out: np.ndarray) -> np.ndarray:
-    np.tanh(out, out=out)
-    return out
-
-
-def activation_applier(module: Module) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """In-place applier matching ``module``'s forward arithmetic, or ``None``.
-
-    Appliers operate on a freshly-allocated float32 GEMM output, so they are
-    free to mutate it; each computes exactly the values the activation module
-    would produce on finite inputs (the parity the fusion tests pin down).
-    Unknown activation types return ``None`` and block fusion.
-    """
-    kind = type(module)
-    if kind is ReLU:
-        return _apply_relu
-    if kind is ReLU6:
-        return _apply_relu6
-    if kind is LeakyReLU:
-        slope = module.negative_slope
-
-        def _apply_leaky(out: np.ndarray) -> np.ndarray:
-            return np.where(out > 0, out, slope * out).astype(np.float32)
-
-        return _apply_leaky
-    if kind is Sigmoid:
-        return _apply_sigmoid
-    if kind is SiLU:
-        return _apply_silu
-    if kind is Tanh:
-        return _apply_tanh
-    return None
-
-
 @dataclass(frozen=True)
 class KernelStep:
     """One executable step of a compiled plan.
 
     ``backend`` is an optional per-step pin resolved by
     :func:`repro.runtime.dispatch.pin_backend` (the most specific backend
-    selection there is).  ``fused`` holds the constituent steps of a
-    ``kind == "fused"`` step, in execution order.
+    selection there is).
     """
 
     kind: str
-    module: Optional[Module]
+    module: Module
     unit_index: int
     is_unit_output: bool = False
     backend: Optional[str] = None
-    fused: Tuple["KernelStep", ...] = ()
-
-    @property
-    def constituents(self) -> Tuple["KernelStep", ...]:
-        """The original unfused steps this step executes (itself if unfused)."""
-        return self.fused if self.kind == "fused" else (self,)
 
     @property
     def quantized(self) -> bool:
         """True when the step's GEMM runs through an attached INT8 engine."""
-        return any(
-            getattr(step.module, "quant_engine", None) is not None
-            for step in self.constituents
-        )
+        return getattr(self.module, "quant_engine", None) is not None
 
     def describe(self) -> str:
-        if self.kind == "fused":
-            name = "+".join(
-                type(step.module).__name__ for step in self.fused
-            )
-        else:
-            name = type(self.module).__name__ if self.module is not None else "-"
+        name = type(self.module).__name__
         flags = []
         if self.quantized:
             flags.append("int8")
@@ -248,10 +156,8 @@ def _lower_module(
 # --------------------------------------------------------------------------- #
 # per-layer backend pinning
 # --------------------------------------------------------------------------- #
-#: kinds a pin spec may name: everything compile_plan lowers to, except
-#: ``fused`` — pins are applied *before* the fusion pass (they decide what
-#: may fuse), so a ``fused`` spec could never match; pin the constituent
-#: kinds (``norm``/``gemm``/``activation``) instead.
+#: kinds a pin spec may name: every kind compile_plan lowers to (not the
+#: reserved ``fused``, which no step carries).
 _PINNABLE_KINDS = tuple(kind for kind in STEP_KINDS if kind != "fused")
 
 #: sentinel pin spec: resolve every layer's backend from measured timings
@@ -297,8 +203,7 @@ def validate_pins(pins):
         if not _valid_pin_key(key):
             raise ValueError(
                 f"invalid pin spec {key!r}; expected '<kind>', 'unit<N>' or "
-                f"'unit<N>.<kind>' with kind in {_PINNABLE_KINDS} "
-                f"('fused' steps take the pin of their constituents)"
+                f"'unit<N>.<kind>' with kind in {_PINNABLE_KINDS}"
             )
         get_backend(backend_name)  # fail fast on unknown backends
     return pins
@@ -339,137 +244,9 @@ def _apply_pins(
     return pinned
 
 
-# --------------------------------------------------------------------------- #
-# fusion pass
-# --------------------------------------------------------------------------- #
-#: module types allowed as the GEMM-bearing core of a fused group, by kind.
-_FUSABLE_CORES = {
-    "gemm": Linear,
-    "conv": Conv2d,
-    "depthwise": DepthwiseConv2d,
-}
-
-
-def _core_channels(step: KernelStep) -> int:
-    """Output channel/feature count of a fusable core step."""
-    module = step.module
-    if step.kind == "gemm":
-        return int(module.weight.data.shape[0])
-    if step.kind == "conv":
-        return int(module.out_channels)
-    return int(module.channels)
-
-
-def batchnorm_foldable(norm: KernelStep, core: KernelStep) -> bool:
-    """True when ``norm`` is a BatchNorm the fused core epilogue can absorb.
-
-    Eval-mode BatchNorm after a conv/linear is a per-output-channel affine
-    — exactly representable as an elementwise pass over the GEMM output
-    (in the im2col column layout for convolutions, where channels are the
-    trailing axis).  Structural check only: training-mode refusal (running
-    statistics must mutate) happens at execution time, where the mode is
-    actually known.
-    """
-    return (
-        isinstance(norm.module, _BatchNormBase)
-        and norm.module.num_features == _core_channels(core)
-    )
-
-
-def _fusable_group(
-    steps: List[KernelStep], start: int
-) -> Optional[Tuple[KernelStep, ...]]:
-    """The longest fusable run starting at ``start``, if any.
-
-    Two families of runs collapse: ``[FFLayerNorm] → Linear → [activation]``
-    (the dense FF stack) and ``conv|depthwise|gemm → [BatchNorm] →
-    [activation]`` (the conv/serving blocks — eval-mode BatchNorm folds
-    into the core's epilogue, see :func:`batchnorm_foldable`).  Constituents
-    must belong to the same unit and carry the same backend pin; a
-    constituent that is a unit output can only be the group's last element
-    (the goodness function taps unit outputs, so intermediate activities
-    inside a fused step must not be observable ones).  Training-mode
-    BatchNorm never executes fused — the executor falls back to the module
-    walk so running statistics update exactly as before.
-    """
-    index = start
-    norm: Optional[KernelStep] = None
-    first = steps[index]
-    if (
-        first.kind == "norm"
-        and type(first.module) is FFLayerNorm
-        and not first.is_unit_output
-        and index + 1 < len(steps)
-    ):
-        norm = first
-        index += 1
-    core = steps[index] if index < len(steps) else None
-    if core is None or type(core.module) is not _FUSABLE_CORES.get(core.kind):
-        return None
-    if norm is not None and core.kind != "gemm":
-        # FFLayerNorm pre-normalization only pairs with the dense GEMM (the
-        # FF stack shape); a conv after it stays step-per-module.
-        return None
-    if norm is not None and (
-        core.unit_index != norm.unit_index or core.backend != norm.backend
-    ):
-        return None
-    index += 1
-    post: Optional[KernelStep] = None
-    if not core.is_unit_output and index < len(steps):
-        candidate = steps[index]
-        if (
-            candidate.kind == "norm"
-            and candidate.unit_index == core.unit_index
-            and candidate.backend == core.backend
-            and batchnorm_foldable(candidate, core)
-        ):
-            post = candidate
-            index += 1
-    tail = post if post is not None else core
-    act: Optional[KernelStep] = None
-    if not tail.is_unit_output and index < len(steps):
-        candidate = steps[index]
-        if (
-            candidate.kind == "activation"
-            and candidate.unit_index == core.unit_index
-            and candidate.backend == core.backend
-            and activation_applier(candidate.module) is not None
-        ):
-            act = candidate
-    group = tuple(step for step in (norm, core, post, act) if step is not None)
-    return group if len(group) >= 2 else None
-
-
-def _fuse_steps(steps: List[KernelStep]) -> List[KernelStep]:
-    """Collapse fusable norm/gemm/activation runs into ``fused`` steps."""
-    fused_steps: List[KernelStep] = []
-    index = 0
-    while index < len(steps):
-        group = _fusable_group(steps, index)
-        if group is None:
-            fused_steps.append(steps[index])
-            index += 1
-            continue
-        last = group[-1]
-        fused_steps.append(
-            KernelStep(
-                "fused",
-                None,
-                last.unit_index,
-                last.is_unit_output,
-                backend=last.backend,
-                fused=group,
-            )
-        )
-        index += len(group)
-    return fused_steps
-
-
 def compile_plan(
     units: Sequence[Module],
     flatten_input: bool = False,
-    fuse: bool = True,
     pins=None,
     auto_rows: Optional[int] = None,
     auto_input_shape: Optional[Sequence[int]] = None,
@@ -483,9 +260,7 @@ def compile_plan(
     resolve every layer from measured timings — ``auto_rows`` then names
     the expected GEMM batch rows and ``auto_input_shape`` the per-sample
     ``(C, H, W)`` so conv steps scale those rows by their feature-map
-    positions) and ``fuse`` (default on) collapses norm/gemm/conv/
-    activation runs into fused steps; every pass preserves the executed
-    arithmetic exactly.
+    positions); pinning only chooses kernels, never the arithmetic.
     """
     if not units:
         raise ValueError("cannot compile a plan over zero units")
@@ -501,12 +276,9 @@ def compile_plan(
         steps[-1] = KernelStep(last.kind, last.module, last.unit_index, True)
     if pins and pins != AUTO_PINS:
         steps = _apply_pins(steps, dict(pins))
-    if fuse:
-        steps = _fuse_steps(steps)
     if pins == AUTO_PINS:
-        # Auto-pinning runs after fusion so a fused step is routed once, by
-        # the shape of its constituent GEMM (lazy import: autopin pulls the
-        # benchmark-record loader, which plan compilation never needs).
+        # Lazy import: autopin pulls the benchmark-record loader, which plan
+        # compilation never needs.
         from repro.runtime.autopin import autopin_steps
 
         steps = autopin_steps(
@@ -527,8 +299,6 @@ __all__ = [
     "STEP_KINDS",
     "AUTO_PINS",
     "step_kind",
-    "activation_applier",
-    "batchnorm_foldable",
     "validate_pins",
     "KernelStep",
     "ExecutionPlan",

@@ -122,20 +122,6 @@ class MicroBatcher:
                 apply_pins(pins, batch_size=self.config.max_batch_size)
             else:
                 apply_pins(pins)
-        fuse = bool(getattr(self.config, "fuse", True))
-        # Engines that don't report a fusion mode are presumed fused (the
-        # compile default), so asking for the unfused baseline from one
-        # that cannot switch is rejected — not silently ignored.
-        if bool(getattr(engine, "fuse", True)) != fuse:
-            # Same contract as pins: the config must actually be in force
-            # on the engine that serves, not just recorded in as_dict().
-            set_fusion = getattr(engine, "set_fusion", None)
-            if not callable(set_fusion):
-                raise TypeError(
-                    "ServeConfig.fuse requires an engine exposing "
-                    "set_fusion(fuse) (e.g. Int8InferenceEngine)"
-                )
-            set_fusion(fuse)
         predict = getattr(engine, "predict", None)
         self._predict: PredictFn = predict if callable(predict) else engine
         if not callable(self._predict):

@@ -46,7 +46,7 @@ from repro.runtime import dispatch
 
 # Plan-memoization traffic published into the observability registry: a
 # rising compile count under steady traffic means cache keys are churning
-# (pins or fusion flapping), which is a serving-latency bug.
+# (pins flapping), which is a serving-latency bug.
 _OBS_PLAN_COMPILES = get_registry().counter(
     "repro_plan_compiles_total", help="Execution plans compiled.")
 _OBS_PLAN_CACHE_HITS = get_registry().counter(
@@ -298,9 +298,9 @@ class Int8InferenceEngine:
     ``num_classes`` overlays — valid because the frozen kernels quantize
     activations per row.
 
-    Compiled plans are **memoized** per ``(units_fingerprint, pins, fusion)``
-    key: the units are frozen, so a pin spec (or ``"auto"`` resolution
-    height) seen before maps to the exact executor compiled for it —
+    Compiled plans are **memoized** per ``(units_fingerprint, pins)`` key:
+    the units are frozen, so a pin spec (or ``"auto"`` resolution height)
+    seen before maps to the exact executor compiled for it —
     repeated :meth:`apply_pins` calls and A/B sweeps over pin policies stop
     paying plan compilation, auto-pin measurement, or weight re-staging.
     :attr:`plan_compiles` / :meth:`plan_cache_stats` expose the counters
@@ -317,7 +317,6 @@ class Int8InferenceEngine:
         counts: Optional[OpCounts] = None,
         backend: BackendLike = None,
         pins: Optional[dict] = None,
-        fuse: bool = True,
         input_shape: Optional[Tuple[int, ...]] = None,
     ) -> None:
         if not units:
@@ -332,7 +331,6 @@ class Int8InferenceEngine:
             skip_first_layer = len(self.units) >= 2
         self.skip_first_layer = skip_first_layer
         self.counts = counts if counts is not None else OpCounts()
-        self.fuse = bool(fuse)
         self.input_shape = tuple(input_shape) if input_shape else None
         self._backend = backend
         for unit in self.units:
@@ -346,13 +344,11 @@ class Int8InferenceEngine:
         self._plan_cache: Dict[tuple, PlanExecutor] = {}
         self._plan_compiles = 0
         self._plan_cache_hits = 0
-        self._active_pins = pins
-        self._active_rows = self._auto_rows()
         # Units are permanently eval from here on; static_eval spares the
         # per-batch mode save/restore walk on the serving hot path.  The
-        # compiled plan fuses norm/gemm/conv/activation runs and honours
-        # the per-layer backend pins (``pins="auto"`` resolves them from
-        # measured timings at the folded-label batch height).
+        # compiled plan honours the per-layer backend pins (``pins="auto"``
+        # resolves them from measured timings at the folded-label batch
+        # height).
         self.executor = self._executor_for(pins, self._auto_rows())
         _register_live_engine(self)
 
@@ -364,7 +360,6 @@ class Int8InferenceEngine:
         bundle: Optional[ModelBundle] = None,
         backend: BackendLike = None,
         pins: Optional[dict] = None,
-        fuse: bool = True,
     ) -> "Int8InferenceEngine":
         """Materialize an engine from an exported artifact.
 
@@ -374,8 +369,7 @@ class Int8InferenceEngine:
         training it afterwards.  ``backend`` pins a kernel backend for this
         engine; by default the ambient runtime selection applies.  ``pins``
         overrides the backend per layer (a pinned layer outranks even the
-        engine-level backend).  ``fuse=False`` compiles strictly unfused
-        plans (the step-per-module walk; useful as a serving A/B baseline).
+        engine-level backend).
         """
         if bundle is None:
             bundle = _bundle_from_metadata(artifact)
@@ -398,7 +392,6 @@ class Int8InferenceEngine:
             counts=counts,
             backend=backend,
             pins=pins,
-            fuse=fuse,
             input_shape=artifact.input_shape,
         )
 
@@ -420,14 +413,14 @@ class Int8InferenceEngine:
         return digest.hexdigest()
 
     def _plan_key(self, pins, auto_rows: int) -> tuple:
-        """Cache key for one compiled plan: (units, pins, fusion [, rows])."""
+        """Cache key for one compiled plan: (units, pins [, rows])."""
         if pins is None:
             pins_key = None
         elif isinstance(pins, str):  # AUTO_PINS: resolution depends on rows
             pins_key = (pins, int(auto_rows))
         else:
             pins_key = tuple(sorted(dict(pins).items()))
-        return (self._units_fp, pins_key, self.fuse)
+        return (self._units_fp, pins_key)
 
     def _executor_for(self, pins, auto_rows: int) -> PlanExecutor:
         key = self._plan_key(pins, auto_rows)
@@ -438,8 +431,8 @@ class Int8InferenceEngine:
             return executor
         executor = PlanExecutor.for_units(
             self.units, flatten_input=self.flatten_input,
-            backend=self._backend, static_eval=True, fuse=self.fuse,
-            pins=pins, auto_rows=auto_rows,
+            backend=self._backend, static_eval=True, pins=pins,
+            auto_rows=auto_rows,
             auto_input_shape=(
                 None if self.flatten_input else self.input_shape
             ),
@@ -477,32 +470,13 @@ class Int8InferenceEngine:
         (measured resolution at ``batch_size`` coalesced requests — the
         engine folds all label overlays into the batch dimension, so the
         GEMM height is ``num_classes * batch_size``).  Plans are memoized
-        per ``(units_fingerprint, pins, fusion)``: a pin spec seen before
+        per ``(units_fingerprint, pins)``: a pin spec seen before
         returns its already-compiled executor (object identity), so
         A/B-ing pin policies — or the batcher re-applying the config's
         pins — never recompiles or re-measures.  Returns ``self`` for
         chaining.
         """
-        self._active_pins = pins
-        self._active_rows = self._auto_rows(batch_size)
-        self.executor = self._executor_for(pins, self._active_rows)
-        return self
-
-    def set_fusion(self, fuse: bool) -> "Int8InferenceEngine":
-        """Switch between fused and strictly unfused plans.
-
-        Keeps the active pins; the swapped-to plan is memoized like any
-        other (``fuse`` is part of every cache key), so A/B-ing fusion is
-        as free as A/B-ing pin specs.  The micro-batcher calls this so
-        ``ServeConfig(fuse=False)`` reaches an engine built fused.
-        """
-        fuse = bool(fuse)
-        if fuse == self.fuse:
-            return self
-        self.fuse = fuse
-        self.executor = self._executor_for(
-            self._active_pins, self._active_rows
-        )
+        self.executor = self._executor_for(pins, self._auto_rows(batch_size))
         return self
 
     def close(self) -> None:
@@ -607,11 +581,10 @@ def build_engine(
     bundle: Optional[ModelBundle] = None,
     backend: BackendLike = None,
     pins: Optional[dict] = None,
-    fuse: bool = True,
 ) -> Int8InferenceEngine:
     """Convenience alias for :meth:`Int8InferenceEngine.from_artifact`."""
     return Int8InferenceEngine.from_artifact(
-        artifact, bundle, backend=backend, pins=pins, fuse=fuse
+        artifact, bundle, backend=backend, pins=pins
     )
 
 

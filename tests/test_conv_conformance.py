@@ -1,19 +1,18 @@
 """Cross-backend conv conformance suite.
 
-The conv serving path (BatchNorm-folded fused conv steps, im2col'd INT8
-GEMMs, thread-tiled depthwise products) is only trusted because every
-optimized codepath is proven bit-identical to the seed reference walk —
-the same gate DALC applies to its optimized decode path.  This suite sweeps
-kernel size / stride / padding / channels across every backend, fused
-and unfused, float and frozen-INT8, and pins down:
+The conv serving path (im2col'd INT8 GEMMs, thread-tiled depthwise
+products) is only trusted because every optimized codepath is proven
+bit-identical to the seed reference walk — the same gate DALC applies to
+its optimized decode path.  This suite sweeps kernel size / stride /
+padding / channels across every backend, float and frozen-INT8, and pins
+down:
 
 * conv / depthwise / conv+BN / conv+BN+activation outputs equal the
-  ``reference`` backend's unfused module walk bit for bit — including
-  1x1 convolutions, single-row feature maps, and non-contiguous inputs;
-* eval-mode BatchNorm folding over *trained* running statistics leaves the
-  ResNet/MobileNet logits bit-identical to the unfolded seed forward;
-* training mode refuses to fold: the module walk runs (running statistics
-  keep updating) and the numbers still match the unfused plan.
+  ``reference`` backend's plan bit for bit — including 1x1 convolutions,
+  single-row feature maps, and non-contiguous inputs;
+* engines over *trained* BatchNorm running statistics give ResNet/MobileNet
+  logits on every backend bit-identical to the ``reference`` engine;
+* a training-mode plan updates the BatchNorm running statistics.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ DEPTHWISE_CASES = [
 
 
 def _randomize_bn(unit: Sequential, rng: np.random.Generator) -> None:
-    """Non-trivial BatchNorm statistics so the fold is not a no-op."""
+    """Non-trivial BatchNorm statistics so the affine is not a no-op."""
     for module in unit.modules():
         if isinstance(module, BatchNorm2d):
             module.running_mean = rng.normal(
@@ -119,24 +118,18 @@ def _eval_units(units, rng, quantized):
 
 
 def _assert_conformance(units, x):
-    """Every backend x fused/unfused equals the reference unfused walk."""
-    expected = PlanExecutor.for_units(
-        units, backend="reference", fuse=False
-    ).forward(x)
+    """Every backend's plan equals the reference plan."""
+    expected = PlanExecutor.for_units(units, backend="reference").forward(x)
     for name in BACKENDS:
-        for fuse in (False, True):
-            got = PlanExecutor.for_units(
-                units, backend=name, fuse=fuse
-            ).forward(x)
-            np.testing.assert_array_equal(
-                got, expected,
-                err_msg=f"backend={name} fuse={fuse} diverged from the "
-                        f"seed reference forward",
-            )
+        got = PlanExecutor.for_units(units, backend=name).forward(x)
+        np.testing.assert_array_equal(
+            got, expected,
+            err_msg=f"backend={name} diverged from the seed reference forward",
+        )
 
 
 class TestConvConformance:
-    """Conv sweep: every backend, fused and unfused, vs the seed walk."""
+    """Conv sweep: every backend vs the seed walk."""
 
     @pytest.mark.parametrize("quantized", [False, True],
                              ids=["float", "int8"])
@@ -189,7 +182,7 @@ class TestConvConformance:
         _assert_conformance(units, x)
 
     def test_linear_batchnorm_activation_bit_identical(self):
-        """The gemm→BatchNorm1d→activation fold (dense-model flavor)."""
+        """Linear→BatchNorm1d→activation (dense-model flavor)."""
         from repro.nn.linear import Linear
         from repro.nn.norm import BatchNorm1d
 
@@ -232,25 +225,21 @@ class TestConvConformance:
         )
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
         expected = PlanExecutor.for_units(
-            units, backend="reference", fuse=False
+            units, backend="reference"
         ).forward(x)
         with ParallelBackend(num_workers=2, min_rows_per_tile=1) as backend:
-            for fuse in (False, True):
-                got = PlanExecutor.for_units(
-                    units, backend=backend, fuse=fuse
-                ).forward(x)
-                np.testing.assert_array_equal(
-                    got, expected,
-                    err_msg=f"tiled conv path diverged (fuse={fuse})",
-                )
+            got = PlanExecutor.for_units(units, backend=backend).forward(x)
+            np.testing.assert_array_equal(
+                got, expected, err_msg="tiled conv path diverged"
+            )
             assert backend.pool_active  # the tiles really ran on workers
 
 
 # --------------------------------------------------------------------------- #
-# golden-fingerprint BatchNorm-folding regressions
+# trained-BatchNorm golden regressions
 # --------------------------------------------------------------------------- #
-def _trained_engine_pair(model_name, input_shape, fuse_backend, seed=0):
-    """(fused engine, unfused engine, inputs) over trained BN statistics."""
+def _trained_engine_pair(model_name, input_shape, backend, seed=0):
+    """(engine on ``backend``, reference engine, inputs) over trained BN."""
     bundle = build_model(model_name, input_shape=input_shape, seed=seed)
     units = bundle.ff_units()
     rng = np.random.default_rng(seed + 100)
@@ -265,41 +254,39 @@ def _trained_engine_pair(model_name, input_shape, fuse_backend, seed=0):
     for unit in units:
         unit.eval()
     artifact = export_artifact(units, bundle, overlay_amplitude=2.0)
-    fused = build_engine(
+    engine = build_engine(
         artifact, build_model(model_name, input_shape=input_shape,
                               seed=seed + 1),
-        backend=fuse_backend, fuse=True,
+        backend=backend,
     )
-    unfused = build_engine(
+    reference = build_engine(
         artifact, build_model(model_name, input_shape=input_shape,
                               seed=seed + 2),
-        backend="reference", fuse=False,
+        backend="reference",
     )
     inputs = rng.normal(size=(5,) + input_shape).astype(np.float32)
-    return fused, unfused, inputs
+    return engine, reference, inputs
 
 
-class TestBatchNormFoldingGolden:
-    """Folding a trained checkpoint must not move a single logit bit."""
+class TestTrainedBatchNorm:
+    """Trained-BN engines must not move a single logit bit on any backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("model, shape", [
         ("resnet18-mini", (3, 16, 16)),
         ("mobilenet_v2-mini", (3, 16, 16)),
-    ])
-    def test_folded_logits_match_unfolded_seed_forward(
-        self, model, shape, backend
-    ):
-        fused, unfused, inputs = _trained_engine_pair(model, shape, backend)
+    ], ids=["resnet18", "mobilenet"])
+    def test_logits_match_reference(self, model, shape, backend):
+        engine, reference, inputs = _trained_engine_pair(model, shape, backend)
         np.testing.assert_array_equal(
-            fused.goodness_matrix(inputs), unfused.goodness_matrix(inputs),
-            err_msg=f"BatchNorm folding moved {model} logits on {backend}",
+            engine.goodness_matrix(inputs), reference.goodness_matrix(inputs),
+            err_msg=f"trained-BN {model} logits moved on {backend}",
         )
         np.testing.assert_array_equal(
-            fused.predict(inputs), unfused.predict(inputs)
+            engine.predict(inputs), reference.predict(inputs)
         )
 
-    def test_training_mode_refuses_to_fold(self):
+    def test_training_mode_plan_updates_running_stats(self):
         rng = np.random.default_rng(23)
         unit = _conv_unit((3, 3), (1, 1), (1, 1), 3, 6, True, ReLU, 8)
         _randomize_bn(unit, rng)
@@ -308,31 +295,16 @@ class TestBatchNormFoldingGolden:
         bn = next(m for m in unit.modules() if isinstance(m, BatchNorm2d))
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
 
-        # The unfused training walk is the ground truth: BN normalizes by
-        # batch statistics and mutates the running buffers.
-        mean_before = bn.running_mean.copy()
-        reference = PlanExecutor.for_units(
-            [unit], backend="reference", fuse=False
-        ).forward(x)
-        mean_after_walk = bn.running_mean.copy()
-        assert not np.array_equal(mean_before, mean_after_walk)
-
-        # The fused plan must fall back to the same walk: identical output
-        # AND another running-statistics update — a fold would freeze them.
-        fused_out = PlanExecutor.for_units(
-            [unit], backend="fast", fuse=True
-        ).forward(x)
-        np.testing.assert_array_equal(fused_out, reference)
-        assert not np.array_equal(bn.running_mean, mean_after_walk)
-
-        # Back in eval mode the very same plan folds again (and the stats
-        # stop moving).
-        unit.eval()
-        frozen = bn.running_mean.copy()
-        executor = PlanExecutor.for_units([unit], backend="fast", fuse=True)
-        eval_fused = executor.forward(x)
-        eval_unfused = PlanExecutor.for_units(
-            [unit], backend="reference", fuse=False
-        ).forward(x)
-        np.testing.assert_array_equal(eval_fused, eval_unfused)
-        np.testing.assert_array_equal(bn.running_mean, frozen)
+        # BN normalizes by batch statistics, so every backend's output
+        # matches the reference, and every pass mutates the running buffers.
+        outputs = {}
+        for name in BACKENDS:
+            mean_before = bn.running_mean.copy()
+            outputs[name] = PlanExecutor.for_units(
+                [unit], backend=name
+            ).forward(x)
+            assert not np.array_equal(bn.running_mean, mean_before), name
+        for name in BACKENDS:
+            np.testing.assert_array_equal(
+                outputs[name], outputs["reference"], err_msg=name
+            )

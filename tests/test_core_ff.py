@@ -18,7 +18,6 @@ from repro.core import (
     ff_fp32,
     ff_int8_vanilla,
     ff_int8_with_lookahead,
-    forward_through_units,
     negative_loss,
     negative_loss_grad,
     positive_loss,
@@ -28,6 +27,7 @@ from repro.core import (
 from repro.data import LabelOverlay
 from repro.models import build_mlp
 from repro.nn import Linear, ReLU, Sequential
+from repro.runtime import PlanExecutor
 from repro.training.schedules import ConstantLambda
 
 
@@ -125,13 +125,13 @@ class TestLookaheadGradients:
         for unit in units:
             unit.train()
             unit.set_activation_caching(True)
-        activations = forward_through_units(units, x)
+        activations = PlanExecutor.for_units(units).unit_outputs(x)
         losses, grads = unit_losses_and_grads(activations, goodness, ff_loss, positive)
         return activations, losses, grads
 
-    def test_forward_through_units_chains(self):
+    def test_unit_outputs_chain_through_units(self):
         units, x = self._units()
-        activations = forward_through_units(units, x)
+        activations = PlanExecutor.for_units(units).unit_outputs(x)
         assert [a.shape[1] for a in activations] == [10, 8, 6]
 
     def test_local_mode_matches_per_unit_backward(self):
@@ -195,7 +195,7 @@ class TestLookaheadGradients:
         ff_loss = FFLoss(theta=2.0)
 
         def total_objective() -> float:
-            activations = forward_through_units(units, x)
+            activations = PlanExecutor.for_units(units).unit_outputs(x)
             losses = [ff_loss.mean_loss(goodness.value(a), True) for a in activations]
             # Layer 0's look-ahead loss: L_0 + lam * (L_1 + L_2)
             return losses[0] + lam * (losses[1] + losses[2])

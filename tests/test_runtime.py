@@ -30,7 +30,7 @@ from repro.runtime import (
 from repro.runtime import dispatch, instrument
 from repro.runtime.backends import FastBackend, ParallelBackend, ReferenceBackend
 from repro.runtime.backends.fast import exact_f32_possible
-from repro.runtime.executor import PlanExecutor, forward_through_units
+from repro.runtime.executor import PlanExecutor
 from repro.runtime.plan import validate_pins
 
 
@@ -47,7 +47,7 @@ def _mlp_units(hidden_layers=2, hidden_units=32, seed=0):
 class TestPlanCompilation:
     def test_mlp_plan_steps(self):
         _, units = _mlp_units()
-        plan = compile_plan(units, flatten_input=True, fuse=False)
+        plan = compile_plan(units, flatten_input=True)
         assert plan.num_units == 2
         kinds = [step.kind for step in plan.steps]
         assert kinds == ["norm", "gemm", "activation"] * 2
@@ -55,21 +55,7 @@ class TestPlanCompilation:
         boundaries = [step.unit_index for step in plan.steps
                       if step.is_unit_output]
         assert boundaries == [0, 1]
-
-    def test_mlp_plan_fuses_norm_gemm_activation(self):
-        _, units = _mlp_units()
-        plan = compile_plan(units, flatten_input=True)
-        assert [step.kind for step in plan.steps] == ["fused", "fused"]
-        for step in plan.steps:
-            assert [sub.kind for sub in step.fused] == [
-                "norm", "gemm", "activation"
-            ]
-            assert step.is_unit_output
-            # Constituents keep their original unfused boundary flags.
-            assert [sub.is_unit_output for sub in step.fused] == [
-                False, False, True
-            ]
-        assert plan.unit_step_counts == [1, 1]
+        assert plan.unit_step_counts == [3, 3]
 
     def test_conv_model_keeps_structured_blocks_opaque(self):
         bundle = build_model("resnet18-mini", input_shape=(3, 16, 16))
@@ -81,26 +67,20 @@ class TestPlanCompilation:
 
     def test_describe_lists_every_step(self):
         _, units = _mlp_units()
-        plan = compile_plan(units, flatten_input=True, fuse=False)
+        plan = compile_plan(units, flatten_input=True)
         text = plan.describe()
         assert "gemm" in text and "unit-out" in text
         assert len(text.splitlines()) == len(plan.steps) + 1
-        fused_text = compile_plan(units, flatten_input=True).describe()
-        assert "FFLayerNorm+Linear+ReLU" in fused_text
 
     def test_quantized_flag_reflects_attached_engines(self):
         _, units = _mlp_units()
-        plan = compile_plan(units, fuse=False)
-        fused_plan = compile_plan(units)
+        plan = compile_plan(units)
         assert not any(step.quantized for step in plan.steps)
-        assert not any(step.quantized for step in fused_plan.steps)
         for unit in units:
             prepare_int8(unit, QuantConfig(), seed=0)
-        assert any(step.quantized for step in plan.steps
-                   if step.kind == "gemm")
-        # The fused step reports its constituent gemm's engine.
-        assert any(step.quantized for step in fused_plan.steps
-                   if step.kind == "fused")
+        assert [step.kind for step in plan.steps if step.quantized] == [
+            "gemm", "gemm"
+        ]
 
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError):
@@ -130,10 +110,10 @@ class TestExecutor:
         np.testing.assert_array_equal(partial[1],
                                       executor.unit_outputs(x)[1])
 
-    def test_forward_through_units_shim(self):
+    def test_for_units_returns_one_output_per_unit(self):
         _, units = _mlp_units()
         x = np.random.default_rng(2).normal(size=(3, 64)).astype(np.float32)
-        outs = forward_through_units(units, x)
+        outs = PlanExecutor.for_units(units).unit_outputs(x)
         assert len(outs) == 2
 
     def test_inference_mode_restores_training_flags(self):
@@ -399,79 +379,11 @@ class TestInstrumentation:
         assert not instrument.hooks_active()
 
 
-class TestFusion:
-    """Fused plans must be arithmetic-identical to the unfused module walk."""
+class TestBackendEquivalence:
+    """``fast``/``parallel`` plans must be bit-identical to ``reference``."""
 
-    @given(
-        hidden_layers=st.integers(1, 3),
-        hidden_units=st.integers(4, 48),
-        batch=st.integers(1, 9),
-        seed=st.integers(0, 2 ** 16),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_fused_matches_unfused_fp32(
-        self, hidden_layers, hidden_units, batch, seed
-    ):
-        _, units = _mlp_units(hidden_layers, hidden_units, seed=seed)
-        for unit in units:
-            unit.eval()
-        x = np.random.default_rng(seed).normal(size=(batch, 64)).astype(
-            np.float32
-        )
-        fused = PlanExecutor.for_units(units, backend="fast")
-        unfused = PlanExecutor.for_units(units, backend="fast", fuse=False)
-        for a, b in zip(fused.unit_outputs(x), unfused.unit_outputs(x)):
-            np.testing.assert_array_equal(a, b)
-
-    @given(
-        hidden_units=st.integers(4, 48),
-        seed=st.integers(0, 2 ** 16),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_fused_matches_unfused_int8(self, hidden_units, seed):
-        x = np.random.default_rng(seed).normal(size=(5, 64)).astype(np.float32)
-        outputs = {}
-        for fuse in (False, True):
-            # Fresh engines per variant so deterministic nearest rounding
-            # sees identical state.
-            _, units = _mlp_units(2, hidden_units, seed=seed)
-            for index, unit in enumerate(units):
-                prepare_int8(
-                    unit, QuantConfig(rounding="nearest"), seed=seed + index
-                )
-                unit.eval()
-            executor = PlanExecutor.for_units(units, backend="fast", fuse=fuse)
-            outputs[fuse] = executor.unit_outputs(x)
-        for a, b in zip(outputs[True], outputs[False]):
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("backend", ["fast", "parallel"])
-    def test_fused_matches_unfused_all_activations(self, backend):
-        from repro.nn.activations import (
-            LeakyReLU, ReLU, ReLU6, Sigmoid, SiLU, Tanh,
-        )
-        from repro.nn.containers import Sequential
-        from repro.nn.linear import Linear
-        from repro.nn.norm import FFLayerNorm
-
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(6, 12)).astype(np.float32)
-        for act_type in (ReLU, ReLU6, LeakyReLU, Sigmoid, SiLU, Tanh):
-            unit = Sequential(
-                FFLayerNorm(), Linear(12, 7, rng=1), act_type()
-            ).eval()
-            fused = PlanExecutor.for_units([unit], backend=backend)
-            unfused = PlanExecutor.for_units(
-                [unit], backend=backend, fuse=False
-            )
-            assert fused.plan.steps[0].kind == "fused"
-            np.testing.assert_array_equal(
-                fused.forward(x), unfused.forward(x),
-                err_msg=f"fused {act_type.__name__} diverged",
-            )
-
-    def test_fused_matches_unfused_on_nonfinite_inputs(self):
-        """NaN/inf/-0.0 rows must not expose the fusion boundary."""
+    def test_nonfinite_inputs_match_reference(self):
+        """NaN/inf/-0.0 rows must come out identical on every backend."""
         _, units = _mlp_units(seed=3)
         for unit in units:
             unit.eval()
@@ -480,75 +392,75 @@ class TestFusion:
         x[1, :] = np.inf
         x[2, :] = -0.0
         x[3, 5] = -np.inf
-        fused = PlanExecutor.for_units(units, backend="fast")
-        unfused = PlanExecutor.for_units(units, backend="fast", fuse=False)
         with np.errstate(invalid="ignore"):  # inf/inf norms, intentionally
-            for a, b in zip(fused.unit_outputs(x), unfused.unit_outputs(x)):
-                np.testing.assert_array_equal(a, b)
+            expected = PlanExecutor.for_units(
+                units, backend="reference"
+            ).unit_outputs(x)
+            for backend in ("fast", "parallel"):
+                actual = PlanExecutor.for_units(
+                    units, backend=backend
+                ).unit_outputs(x)
+                for a, b in zip(actual, expected):
+                    np.testing.assert_array_equal(a, b, err_msg=backend)
 
-    def test_training_mode_falls_back_and_fills_caches(self):
-        _, units = _mlp_units()
-        for unit in units:
-            unit.train()
-            unit.set_activation_caching(True)
+    def test_training_mode_plan_fills_caches_on_every_backend(self):
         x = np.random.default_rng(5).normal(size=(4, 64)).astype(np.float32)
-        executor = PlanExecutor.for_units(units, backend="fast")
-        assert executor.plan.steps[0].kind == "fused"
-        executor.unit_outputs(x)
-        cached = [
-            module
-            for unit in units
-            for module in unit.modules()
-            if module._cache
-        ]
-        assert cached, "fused execution starved the training caches"
+        outputs = {}
+        for backend in ("reference", "fast", "parallel"):
+            _, units = _mlp_units()
+            for unit in units:
+                unit.train()
+                unit.set_activation_caching(True)
+            executor = PlanExecutor.for_units(units, backend=backend)
+            outputs[backend] = executor.unit_outputs(x)
+            cached = [
+                module
+                for unit in units
+                for module in unit.modules()
+                if module._cache
+            ]
+            assert cached, f"{backend} plan left the training caches empty"
+        for backend in ("fast", "parallel"):
+            for a, b in zip(outputs[backend], outputs["reference"]):
+                np.testing.assert_array_equal(a, b, err_msg=backend)
 
-    def test_hooks_force_unfused_instrumented_walk(self):
+    def test_fp32_op_counts_match_reference(self):
         _, units = _mlp_units()
         for unit in units:
             unit.eval()
         x = np.random.default_rng(6).normal(size=(3, 64)).astype(np.float32)
         counts = {}
-        for fuse in (True, False):
-            executor = PlanExecutor.for_units(units, backend="fast", fuse=fuse)
+        for backend in ("reference", "fast", "parallel"):
+            executor = PlanExecutor.for_units(units, backend=backend)
             with instrument.counting() as observed:
                 executor.unit_outputs(x)
-            counts[fuse] = observed.as_dict()
-        assert counts[True] == counts[False]
-        assert counts[True]["fp32_mul"] > 0
+            counts[backend] = observed.as_dict()
+        assert counts["fast"] == counts["reference"]
+        assert counts["parallel"] == counts["reference"]
+        assert counts["reference"]["fp32_mul"] > 0
 
-    def test_reference_backend_unchanged_by_fusion(self):
-        """The correctness oracle never executes fused kernels."""
-        _, units = _mlp_units(seed=7)
-        for unit in units:
-            unit.eval()
-        x = np.random.default_rng(7).normal(size=(6, 64)).astype(np.float32)
-        fused = PlanExecutor.for_units(units, backend="reference")
-        unfused = PlanExecutor.for_units(
-            units, backend="reference", fuse=False
-        )
-        for a, b in zip(fused.unit_outputs(x), unfused.unit_outputs(x)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_seed_fingerprint_reference_with_fusion(self):
+    def test_seed_fingerprint_on_every_backend(self):
         """Seeded INT8 predictions on ``reference`` are pinned labels.
 
-        Guards the whole lowering + fusion pipeline: if the fusion pass (or
-        any future plan rewrite) perturbed reference arithmetic, the argmax
-        labels of this fixed seeded model would shift.
+        Guards the whole lowering pipeline: if any plan rewrite perturbed
+        reference arithmetic, the argmax labels of this fixed seeded model
+        would shift; ``fast`` and ``parallel`` must reproduce them.
         """
-        _, units = _mlp_units(2, 24, seed=11)
-        for index, unit in enumerate(units):
-            prepare_int8(unit, QuantConfig(rounding="nearest"), seed=11 + index)
-        overlay = LabelOverlay(num_classes=10, amplitude=1.5)
-        classifier = FFGoodnessClassifier(
-            units, overlay, flatten_input=True, backend="reference"
-        )
+        expected = [0, 0, 5, 9, 0, 5, 9, 9, 0, 1, 3, 7, 9, 9, 3, 9]
         inputs = np.random.default_rng(11).normal(size=(16, 64)).astype(
             np.float32
         )
-        labels = classifier.predict(inputs).tolist()
-        assert labels == [0, 0, 5, 9, 0, 5, 9, 9, 0, 1, 3, 7, 9, 9, 3, 9]
+        for backend in ("reference", "fast", "parallel"):
+            _, units = _mlp_units(2, 24, seed=11)
+            for index, unit in enumerate(units):
+                prepare_int8(
+                    unit, QuantConfig(rounding="nearest"), seed=11 + index
+                )
+            overlay = LabelOverlay(num_classes=10, amplitude=1.5)
+            classifier = FFGoodnessClassifier(
+                units, overlay, flatten_input=True, backend=backend
+            )
+            assert classifier.predict(inputs).tolist() == expected, backend
 
 
 class TestBackendPinning:
@@ -585,7 +497,7 @@ class TestBackendPinning:
                 pins={"unit1.gemm": "recording-test"},
             )
             reference_out = PlanExecutor.for_units(
-                units, backend="fast", fuse=False
+                units, backend="fast"
             ).unit_outputs(x)
             pinned_out = executor.unit_outputs(x)
             assert len(calls) == 1  # exactly the pinned gemm
@@ -596,17 +508,6 @@ class TestBackendPinning:
             _FACTORIES.pop("recording-test", None)
             _INSTANCES.pop("recording-test", None)
 
-    def test_pin_splits_fusion_groups(self):
-        _, units = _mlp_units()
-        plan = compile_plan(
-            units, flatten_input=True, pins={"unit0.norm": "reference"}
-        )
-        kinds = [step.kind for step in plan.steps]
-        # unit0's norm is pinned differently, so only gemm+activation fuse;
-        # unit1 keeps the full triple.
-        assert kinds == ["norm", "fused", "fused"]
-        assert plan.steps[0].backend == "reference"
-
     def test_generic_pin_shadowed_by_specific_still_counts(self):
         _, units = _mlp_units()
         plan = compile_plan(
@@ -615,10 +516,7 @@ class TestBackendPinning:
                   "unit1.gemm": "fast"},
         )
         gemm_pins = [
-            sub.backend
-            for step in plan.steps
-            for sub in step.constituents
-            if sub.kind == "gemm"
+            step.backend for step in plan.steps if step.kind == "gemm"
         ]
         # The specific pins win on every gemm; the shadowed generic spec is
         # not reported as a typo.
@@ -628,8 +526,8 @@ class TestBackendPinning:
         _, units = _mlp_units()
         with pytest.raises(ValueError, match="invalid pin spec"):
             compile_plan(units, pins={"bogus-layer": "fast"})
-        # 'fused' steps only exist after the fusion pass; the spec is
-        # structurally impossible and must fail eager validation.
+        # 'fused' is a reserved kind no step carries; the spec could never
+        # match and must fail eager validation.
         with pytest.raises(ValueError, match="invalid pin spec"):
             validate_pins({"fused": "fast"})
         with pytest.raises(ValueError, match="invalid pin spec"):
