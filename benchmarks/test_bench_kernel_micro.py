@@ -5,21 +5,19 @@ into one figure; this benchmark times the *kernels* in isolation so a
 backend win (or regression) is attributable.  These kernel cases run on
 every registered backend:
 
-* ``gemm_large``    — INT8 GEMM at a deliberately wide shape (the case the
-  CI bench-smoke job watches: ``parallel`` must not lose to ``fast`` here).
+* ``gemm_large``    — INT8 GEMM at a deliberately wide shape.
 * ``rowwise_serve`` — fused per-row quantize + GEMM at the folded-label
   serving shape (10 labels x 32 requests of a 14x14 MLP).
 * ``conv_cols``     — the same fused quantize+GEMM at an im2col'd conv
   shape (positions are rows: a 64-channel 3x3 conv over a batch of
-  16x16 feature maps) — the ResNet/MobileNet serving hot path, where the
-  parallel backend tiles the column blocks across its worker threads.
-* ``depthwise`` / ``depthwise_grad`` — the MobileNet/EfficientNet hot path
-  the parallel backend took off the reference integer-einsum kernels.
+  16x16 feature maps) — the ResNet/MobileNet serving hot path.
+* ``depthwise`` / ``depthwise_grad`` — the MobileNet/EfficientNet hot path,
+  the only kernels the ``parallel`` backend does not inherit from ``fast``
+  (thread-tiled float32 einsums instead of the reference integer einsum).
 
-This record doubles as the data source for measured auto-pinning
-(:mod:`repro.runtime.autopin` reads the per-shape, per-backend timings and
-the ``meta`` sysinfo block to decide whether they speak for this CPU), so
-keeping it fresh directly improves ``--pin auto`` routing.
+``parallel`` runs ``fast``'s own GEMMs, so on the GEMM cases the two differ
+only by noise; on the depthwise cases ``parallel`` must not lose to
+``fast`` — that is what the backend exists for.
 
 Every backend result is checked for exactness against ``reference`` before
 it is timed — a fast wrong kernel must fail loudly, not win benchmarks.
@@ -154,22 +152,24 @@ def test_kernel_microbenchmark(benchmark):
         },
         results=measured,
         notes="All backends verified bit-identical to reference before "
-              "timing; timings are wall-clock on shared hardware.  This "
-              "record also feeds measured auto-pinning (--pin auto).",
+              "timing; timings are wall-clock on shared hardware.",
     )
     save_experiment(result)
 
-    # The structural win tiling pays for must actually show up; on shared
-    # runners the check is advisory unless REPRO_BENCH_STRICT=1.
+    # parallel shares fast's GEMMs (a 1.25x band absorbs the noise) and
+    # must win its depthwise cases outright; on shared runners the checks
+    # are advisory unless REPRO_BENCH_STRICT=1.
     complaints = []
-    parallel_large = timings["gemm_large"].get("parallel")
-    fast_large = timings["gemm_large"].get("fast")
-    if parallel_large is not None and fast_large is not None:
-        if parallel_large > 1.25 * fast_large:
-            complaints.append(
-                f"parallel lost to fast on gemm_large "
-                f"({parallel_large:.3f}ms vs {fast_large:.3f}ms)"
-            )
+    for case, allowed in (("gemm_large", 1.25), ("depthwise", 1.0),
+                          ("depthwise_grad", 1.0)):
+        parallel_ms = timings[case].get("parallel")
+        fast_ms = timings[case].get("fast")
+        if parallel_ms is not None and fast_ms is not None:
+            if parallel_ms > allowed * fast_ms:
+                complaints.append(
+                    f"parallel lost to fast on {case} "
+                    f"({parallel_ms:.3f}ms vs {fast_ms:.3f}ms)"
+                )
     for complaint in complaints:
         emit(f"ADVISORY: {complaint}")
     if STRICT:

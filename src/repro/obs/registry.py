@@ -4,7 +4,7 @@ Every control loop the serving stack grows — queue-depth shedding, canary
 rollback, replica restarts — needs *live, scrapeable* signals, not post-hoc
 report tables.  The registry is that signal plane: named metrics that
 :class:`~repro.serve.metrics.ServeMetrics`, the micro-batcher's
-autoscalers, the engine's plan cache and ``autopin`` all publish into,
+autoscalers and the engine's plan compiles all publish into,
 readable two ways:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict, attached to

@@ -3,19 +3,17 @@
 One execution layer for every workload:
 
 * :func:`compile_plan` lowers an FF unit stack into a flat
-  :class:`ExecutionPlan` of kernel steps, one per leaf module, optionally
-  pinning individual layers to a backend; :class:`PlanExecutor` runs it —
+  :class:`ExecutionPlan` of kernel steps, one per leaf module;
+  :class:`PlanExecutor` runs it on one backend —
   training forward passes, goodness classification, readout features and
   batched serving all execute the same plan code.
 * :mod:`repro.runtime.backends` hosts the kernel backends: ``reference``
   (the seed NumPy arithmetic), ``fast`` (exact-float32 BLAS integer GEMMs
-  with preallocated scratch) and ``parallel`` (row-block thread tiling
-  of the fast kernels plus float32 depthwise products).  Select with the
-  ``REPRO_BACKEND`` environment variable, :func:`set_default_backend`, a
-  config's ``backend`` field, the CLI ``--backend`` flag, or per layer
-  with plan pins — hand-written specs or ``pins="auto"``, which resolves
-  each layer to the measured winner via :mod:`repro.runtime.autopin`;
-  every backend is bit-identical.
+  with preallocated scratch) and ``parallel`` (the fast kernels plus
+  thread-tiled float32 depthwise products).  Select one with the
+  ``REPRO_BACKEND`` environment variable, :func:`set_default_backend`,
+  :func:`use_backend`, a config's ``backend`` field or the CLI
+  ``--backend`` flag; every backend is bit-identical.
 * :mod:`repro.runtime.instrument` exposes the dispatch layer's
   instrumentation hooks — :class:`OpCounts`/:class:`OpCountingHook` for
   Table IV op accounting and arbitrary observers for profiling — which see
@@ -43,7 +41,6 @@ from repro.runtime.dispatch import (
     DEFAULT_BACKEND,
     active_backend,
     default_backend_name,
-    pin_backend,
     set_default_backend,
     use_backend,
 )
@@ -61,11 +58,7 @@ _LAZY = {
     "compile_plan": "repro.runtime.plan",
     "step_kind": "repro.runtime.plan",
     "STEP_KINDS": "repro.runtime.plan",
-    "AUTO_PINS": "repro.runtime.plan",
     "PlanExecutor": "repro.runtime.executor",
-    "autopin": "repro.runtime.autopin",
-    "calibrate": "repro.runtime.autopin",
-    "AUTOPIN_CANDIDATES": "repro.runtime.autopin",
 }
 
 
@@ -94,7 +87,6 @@ __all__ = [
     "default_backend_name",
     "set_default_backend",
     "use_backend",
-    "pin_backend",
     "instrument",
     "Instrumentation",
     "OpCounts",
@@ -106,9 +98,5 @@ __all__ = [
     "compile_plan",
     "step_kind",
     "STEP_KINDS",
-    "AUTO_PINS",
     "PlanExecutor",
-    "autopin",
-    "calibrate",
-    "AUTOPIN_CANDIDATES",
 ]

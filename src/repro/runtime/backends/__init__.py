@@ -2,11 +2,10 @@
 
 Backends are registered by name and instantiated once (they may hold
 per-thread scratch state and worker pools).  ``reference`` is the seed NumPy
-arithmetic, ``fast`` the BLAS-tiled exact-float32 variant and ``parallel``
-the row-block-threaded tiling of the fast kernels (plus float32 depthwise
-products); all three are bit-identical on every input, so selection is
-purely a performance knob — :func:`repro.runtime.autopin.autopin` picks per
-layer from measured data.
+arithmetic, ``fast`` the BLAS exact-float32 variant and ``parallel`` the
+fast kernels plus thread-tiled float32 depthwise products; all three are
+bit-identical on every input, so selection is purely a performance knob,
+made once per engine or process (see :mod:`repro.runtime.dispatch`).
 """
 
 from __future__ import annotations

@@ -1,35 +1,25 @@
-"""Parallel kernel backend: row-block tiling across a worker-thread pool.
+"""Parallel kernel backend: ``fast`` plus thread-tiled depthwise kernels.
 
-Every integer kernel in the repo is row-independent (INT8 GEMM rows, the
-per-position depthwise inner products) or reduces over rows with an exact
-integer accumulator (the depthwise weight gradient).  That makes them
-tileable without changing a single bit: each tile computes exactly the rows
-the full kernel would, with the same per-row arithmetic, so the concatenated
-(or integer-summed) result is identical to the ``fast`` and ``reference``
-backends on every input.
+The GEMMs are the inherited ``fast`` kernels: row-block tiling of an INT8
+GEMM never beat a single BLAS call on a measured shape.  What this backend
+adds are the two depthwise kernels, which ``fast`` leaves on the reference
+integer einsum:
 
-Two mechanisms stack up here:
-
-* **Thread tiling.**  Row blocks are dispatched to a shared
+* **Exact-float32 tiles.**  int8 operands staged to float32 feed a
+  vectorized einsum whose per-(position, channel) accumulation over
+  ``kernel_area`` products stays inside float32's exact-integer window.
+  For the depthwise *gradient* the reduction spans all positions and can
+  leave that window, so tiles are capped at an exact-window row count and
+  their exact partial sums accumulate in int64 — bit-identical to the
+  ``reference`` and ``fast`` backends on every input.
+* **Thread tiling.**  Position blocks are dispatched to a shared
   :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy releases the GIL
-  inside BLAS and buffered ufunc loops, so the tiles genuinely overlap on
-  multi-core hosts.  The calling thread processes the first tile itself, and
-  per-tile operand staging reuses the ``fast`` backend's per-*thread*
-  scratch buffers — each pool worker owns its own scratch, so no
-  tile ever contends on staging memory.
-* **Exact-float32 tiles.**  Each tile runs the ``fast`` backend's trick:
-  int8 operands staged to float32 feed BLAS ``sgemm``/vectorized einsums
-  whose accumulations stay inside float32's exact-integer window.  For the
-  depthwise *gradient* the reduction spans all positions and can leave that
-  window, so tiles are capped at an exact-window row count and their exact
-  partial sums accumulate in int64 — still bit-identical, now parallel.
-  This finally takes ``int8_depthwise``/``int8_depthwise_grad`` off the
-  reference integer-einsum path.
+  inside its buffered loops, so the tiles overlap on multi-core hosts.
+  The calling thread processes the first tile itself.  On single-core
+  hosts (``num_workers == 1``) every tile runs inline and no pool starts.
 
-On single-core hosts (``num_workers == 1``) tiling cannot pay for itself, so
-the GEMM kernels delegate straight to the inherited ``fast`` implementations
-and only the depthwise float32 kernels remain active — ``parallel`` is then
-simply ``fast`` with faster depthwise products.
+The worker pool is the only resource this backend owns; an engine built on
+it releases the pool with :meth:`ParallelBackend.shutdown` on ``close()``.
 """
 
 from __future__ import annotations
@@ -43,7 +33,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.backends.fast import FastBackend, exact_f32_possible
-from repro.runtime.backends.reference import rowwise_levels, rowwise_scales
 
 #: Environment override for the worker-pool width (default: CPU count).
 WORKERS_ENV_VAR = "REPRO_PARALLEL_WORKERS"
@@ -57,7 +46,7 @@ def _default_workers() -> int:
 
 
 class ParallelBackend(FastBackend):
-    """Tiled, threaded variant of the ``fast`` exact kernels."""
+    """The ``fast`` kernels plus tiled, threaded exact depthwise kernels."""
 
     name = "parallel"
 
@@ -127,11 +116,7 @@ class ParallelBackend(FastBackend):
 
     @property
     def pool_active(self) -> bool:
-        """True while a worker pool this process owns is live.
-
-        Callers that start a pool as a side effect (autopin calibration)
-        consult it to release pools no engine will ever close.
-        """
+        """True while a worker pool this process owns is live."""
         return self._pool is not None and self._pool_pid == os.getpid()
 
     def shutdown(self) -> None:
@@ -178,97 +163,7 @@ class ParallelBackend(FastBackend):
             future.result()  # propagate worker exceptions
 
     # ------------------------------------------------------------------ #
-    # GEMM kernels
-    # ------------------------------------------------------------------ #
-    def int8_gemm(self, lhs_q: np.ndarray, rhs_q: np.ndarray) -> np.ndarray:
-        if lhs_q.ndim != 2:
-            return super().int8_gemm(lhs_q, rhs_q)
-        tiles = self._tiles(lhs_q.shape[0])
-        if tiles is None:
-            return super().int8_gemm(lhs_q, rhs_q)
-        exact = (
-            lhs_q.dtype == np.int8
-            and rhs_q.dtype == np.int8
-            and exact_f32_possible(lhs_q.shape[-1], qmax=128, rhs_max=128)
-        )
-        if exact:
-            # Stage the shared rhs once (workers only read it); each tile
-            # stages its own lhs rows into per-thread scratch.
-            rhs_shared = rhs_q.astype(np.float32)
-            out = np.empty((lhs_q.shape[0], rhs_q.shape[1]), dtype=np.float32)
-
-            def work(r0: int, r1: int) -> None:
-                lhs_f32 = self._stage_f32("parallel_lhs", lhs_q[r0:r1])
-                np.matmul(lhs_f32, rhs_shared, out=out[r0:r1])
-
-        else:
-            narrow = lhs_q.dtype == np.int8 and rhs_q.dtype == np.int8
-            accumulator = np.int32 if narrow else np.int64
-            rhs_shared = rhs_q.astype(accumulator)
-            out = np.empty(
-                (lhs_q.shape[0], rhs_q.shape[1]), dtype=accumulator
-            )
-
-            def work(r0: int, r1: int) -> None:
-                np.matmul(
-                    lhs_q[r0:r1].astype(accumulator), rhs_shared, out=out[r0:r1]
-                )
-
-        self._run_tiles(work, tiles)
-        return out
-
-    def rowwise_quantized_gemm(
-        self,
-        x: np.ndarray,
-        rhs_q: np.ndarray,
-        qmax: int,
-        rhs_f32: Optional[np.ndarray] = None,
-        exact_f32: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=np.float32)
-        tiles = self._tiles(x.shape[0]) if x.ndim == 2 else None
-        if tiles is None:
-            return super().rowwise_quantized_gemm(
-                x, rhs_q, qmax, rhs_f32=rhs_f32, exact_f32=exact_f32
-            )
-        rows, cols = x.shape[0], rhs_q.shape[1]
-        scales = np.empty(rows, dtype=np.float32)
-        exact = exact_f32 or exact_f32_possible(rhs_q.shape[0], qmax)
-        if exact:
-            rhs_shared = (
-                rhs_f32 if rhs_f32 is not None else rhs_q.astype(np.float32)
-            )
-            out = np.empty((rows, cols), dtype=np.float32)
-
-            def work(r0: int, r1: int) -> None:
-                # Per-row scales and levels are independent of the tiling,
-                # and the exact-integer accumulation is independent of the
-                # BLAS blocking — both are bit-identical to the full-batch
-                # fast kernel.
-                tile = x[r0:r1]
-                tile_scales = rowwise_scales(tile, qmax)
-                scales[r0:r1] = tile_scales
-                levels = tile / tile_scales[:, None]
-                np.rint(levels, out=levels)
-                np.clip(levels, -qmax, qmax, out=levels)
-                np.matmul(levels, rhs_shared, out=out[r0:r1])
-
-        else:
-            rhs_shared = rhs_q.astype(np.int32)
-            out = np.empty((rows, cols), dtype=np.int32)
-
-            def work(r0: int, r1: int) -> None:
-                tile = x[r0:r1]
-                tile_scales = rowwise_scales(tile, qmax)
-                scales[r0:r1] = tile_scales
-                q = rowwise_levels(tile, tile_scales, qmax).astype(np.int8)
-                np.matmul(q.astype(np.int32), rhs_shared, out=out[r0:r1])
-
-        self._run_tiles(work, tiles)
-        return out, scales
-
-    # ------------------------------------------------------------------ #
-    # depthwise kernels (off the reference path at last)
+    # depthwise kernels
     # ------------------------------------------------------------------ #
     def int8_depthwise(
         self, cols_q: np.ndarray, weight_q: np.ndarray

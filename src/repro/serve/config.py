@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.runtime.backends import Backend, get_backend
-from repro.runtime.plan import AUTO_PINS, validate_pins
-
 
 class ServeConfig:
     """Configuration of the batched INT8 inference service.
+
+    The kernel backend is not a serving setting: an
+    :class:`~repro.serve.engine.Int8InferenceEngine` fixes it when it is
+    built (``build_engine(artifact, backend=...)``).
 
     Parameters
     ----------
@@ -39,22 +40,6 @@ class ServeConfig:
         Idle workers re-check the shutdown flag at this interval.
     request_timeout_s:
         Default timeout when synchronously waiting for a prediction.
-    backend:
-        Runtime kernel backend for the engine (``"reference"``/``"fast"``/
-        ``"parallel"``); ``None`` defers to the ambient :mod:`repro.runtime`
-        selection (``REPRO_BACKEND`` or the process default).
-    pins:
-        Optional per-layer backend pins (``{"gemm": "parallel", "unit0":
-        "fast"}`` — see :func:`repro.runtime.plan.validate_pins` for the
-        spec syntax), or the string ``"auto"`` to resolve every layer to
-        its measured winner (see :mod:`repro.runtime.autopin`).  The
-        micro-batcher applies them to its engine via ``engine.apply_pins``
-        at construction, so they take effect even on an engine built
-        without pins; engines that cannot honour pins (bare predict
-        callables) are rejected.  The engine memoizes compiled plans per
-        ``(units_fingerprint, pins)`` key, so re-applying a pin
-        spec it has seen — including across repeated batcher restarts over
-        one engine — hits the cache instead of recompiling.
     autoscale_wait / min_wait_ms:
         When ``autoscale_wait`` is true the micro-batcher adapts its
         coalescing window to the queue-depth EWMA, between ``min_wait_ms``
@@ -94,8 +79,6 @@ class ServeConfig:
         dedup_inflight: bool = True,
         poll_timeout_ms: float = 20.0,
         request_timeout_s: float = 30.0,
-        backend: Any = None,
-        pins: Any = None,
         autoscale_wait: bool = False,
         min_wait_ms: float = 0.0,
         autoscale_workers: bool = False,
@@ -133,13 +116,6 @@ class ServeConfig:
         self.dedup_inflight = bool(dedup_inflight)
         self.poll_timeout_ms = float(poll_timeout_ms)
         self.request_timeout_s = float(request_timeout_s)
-        if backend is not None and not isinstance(backend, Backend):
-            get_backend(backend)  # fail at construction, not in a worker
-        self.backend = backend
-        if pins == AUTO_PINS:
-            self.pins: Any = AUTO_PINS
-        else:
-            self.pins = dict(validate_pins(pins)) if pins else None
         self.autoscale_wait = bool(autoscale_wait)
         self.min_wait_ms = float(min_wait_ms)
 
@@ -186,6 +162,14 @@ class ServeConfig:
         self.poll_timeout_s = self.poll_timeout_ms / 1000.0
         self.autoscale_cooldown_s = self.autoscale_cooldown_ms / 1000.0
 
+        # Removed knobs must fail loudly rather than ride along as inert
+        # extras: the engine fixes its kernel backend when it is built.
+        for removed in ("backend", "pins"):
+            if removed in kwargs:
+                raise TypeError(
+                    f"ServeConfig has no {removed!r} setting; pass backend= "
+                    "to build_engine / Int8InferenceEngine instead"
+                )
         # Deployment-specific extras ride along untouched.
         for key, value in kwargs.items():
             setattr(self, key, value)
@@ -202,8 +186,6 @@ class ServeConfig:
             "dedup_inflight": self.dedup_inflight,
             "poll_timeout_ms": self.poll_timeout_ms,
             "request_timeout_s": self.request_timeout_s,
-            "backend": getattr(self.backend, "name", self.backend),
-            "pins": self.pins,
             "autoscale_wait": self.autoscale_wait,
             "min_wait_ms": self.min_wait_ms,
             "autoscale_workers": self.autoscale_workers,

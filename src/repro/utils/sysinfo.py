@@ -93,9 +93,7 @@ def same_machine(meta_a: Optional[Dict[str, Any]],
     """True when two ``meta`` blocks describe one machine + numeric stack.
 
     This is the single definition of "are these wall-clock numbers
-    comparable / do they speak for this CPU": benchmark baseline diffing
-    and auto-pinning staleness both route through it, so the rule cannot
-    drift between them.
+    comparable": benchmark baseline diffing routes through it.
     """
     meta_a, meta_b = meta_a or {}, meta_b or {}
     for key in SAME_MACHINE_KEYS:

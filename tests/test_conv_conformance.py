@@ -214,7 +214,11 @@ class TestConvConformance:
             _assert_conformance(units, x)
 
     def test_tiled_conv_path_with_worker_threads(self):
-        """Real multi-worker tiling: column blocks across pool threads."""
+        """Real multi-worker tiling: depthwise position blocks on the pool.
+
+        The conv unit runs ``fast``'s GEMM; the depthwise unit's tiles are
+        what start the pool.
+        """
         rng = np.random.default_rng(19)
         units = _eval_units(
             [

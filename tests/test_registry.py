@@ -7,8 +7,8 @@ Covers the contracts the serving stack leans on:
 * atomic hot-swap under concurrent prediction — zero dropped requests,
   zero mixed-version responses,
 * fingerprint dedup — identical frozen params share one engine and one
-  plan cache,
-* ``close()`` releasing every cached plan's kernel backends,
+  compiled plan,
+* ``close()`` releasing every engine's kernel-backend pool,
 * prediction-cache namespacing — a shared cache can never serve another
   version's entries.
 """
@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.models import build_mlp
+from repro.models import build_mlp, build_model
 from repro.obs.registry import get_registry as get_obs_registry
 from repro.serve import (
     InferenceArtifact,
@@ -315,21 +315,28 @@ class TestFingerprintDedup:
         """Real engines: the second version compiles no new plan."""
         from repro.runtime.backends import ParallelBackend
 
+        def mobilenet(seed):
+            # Depthwise layers: the kernels parallel tiles on its pool.
+            return build_model("mobilenet_v2-mini", input_shape=(3, 16, 16),
+                               seed=seed)
+
         backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
         compiles = get_obs_registry().counter("repro_plan_compiles_total")
         try:
-            artifact = _export_mlp()
+            bundle = mobilenet(seed=0)
+            artifact = export_artifact(bundle.ff_units(), bundle,
+                                       overlay_amplitude=2.0)
             reg = ModelRegistry(
                 engine_builder=lambda frozen: build_engine(
-                    frozen, _mlp_h2(seed=0), backend=backend))
-            reg.register("mlp", "v1", artifact)
-            reg.register("mlp", "v2", artifact, make_default=False)
-            first = reg.engine("mlp@v1")
+                    frozen, mobilenet(seed=1), backend=backend))
+            reg.register("mnet", "v1", artifact)
+            reg.register("mnet", "v2", artifact, make_default=False)
+            first = reg.engine("mnet@v1")
             compiles_after_build = compiles.value()
-            assert reg.engine("mlp@v2") is first
+            assert reg.engine("mnet@v2") is first
             assert compiles.value() == compiles_after_build  # no recompile
             # ...and the shared engine actually serves.
-            first.predict(_inputs((1, 14, 14), 40))
+            first.predict(_inputs((3, 16, 16), 4))
             assert backend.pool_active
             reg.close()
             assert not backend.pool_active  # plan backends released

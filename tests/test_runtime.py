@@ -22,7 +22,6 @@ from repro.runtime import (
     compile_plan,
     get_backend,
     instrumented,
-    pin_backend,
     register_backend,
     set_default_backend,
     use_backend,
@@ -31,7 +30,6 @@ from repro.runtime import dispatch, instrument
 from repro.runtime.backends import FastBackend, ParallelBackend, ReferenceBackend
 from repro.runtime.backends.fast import exact_f32_possible
 from repro.runtime.executor import PlanExecutor
-from repro.runtime.plan import validate_pins
 
 
 def _int8(rng, shape):
@@ -188,14 +186,21 @@ class TestBackendSelection:
 
     def test_configs_validate_backend_eagerly(self):
         from repro.core.ff_trainer import FFConfig
-        from repro.serve import ServeConfig
 
         with pytest.raises(ValueError, match="unknown backend"):
-            ServeConfig(backend="fats")
-        with pytest.raises(ValueError, match="unknown backend"):
             FFConfig(backend="fats")
-        assert ServeConfig(backend="reference").backend == "reference"
         assert FFConfig(backend="fast").backend == "fast"
+
+    def test_serve_configs_reject_a_backend(self):
+        # The engine fixes its backend at build; a serving-config backend
+        # would be inert, so it must fail instead of riding along.
+        from repro.serve import FrontendConfig, ServeConfig
+
+        for config_cls in (ServeConfig, FrontendConfig):
+            for key, value in (("backend", "parallel"), ("pins", {})):
+                with pytest.raises(TypeError, match="build_engine"):
+                    config_cls(**{key: value})
+        assert "backend" not in ServeConfig().as_dict()
 
     def test_profile_hook_scoped_to_model(self):
         from repro.hardware.op_counter import ProfileHook
@@ -463,96 +468,6 @@ class TestBackendEquivalence:
             assert classifier.predict(inputs).tolist() == expected, backend
 
 
-class TestBackendPinning:
-    def test_pin_backend_outranks_explicit_argument(self):
-        with pin_backend("reference"):
-            assert dispatch.active_backend("fast").name == "reference"
-        assert dispatch.active_backend("fast").name == "fast"
-
-    def test_pin_backend_none_is_passthrough(self):
-        with use_backend("fast"):
-            with pin_backend(None):
-                assert dispatch.active_backend().name == "fast"
-
-    def test_pinned_step_routes_to_pinned_backend(self):
-        calls = []
-
-        class Recording(ReferenceBackend):
-            name = "recording-test"
-
-            def matmul(self, a, b):
-                calls.append(a.shape)
-                return super().matmul(a, b)
-
-        register_backend("recording-test", Recording)
-        try:
-            _, units = _mlp_units()
-            for unit in units:
-                unit.eval()
-            x = np.random.default_rng(8).normal(size=(4, 64)).astype(
-                np.float32
-            )
-            executor = PlanExecutor.for_units(
-                units, backend="fast",
-                pins={"unit1.gemm": "recording-test"},
-            )
-            reference_out = PlanExecutor.for_units(
-                units, backend="fast"
-            ).unit_outputs(x)
-            pinned_out = executor.unit_outputs(x)
-            assert len(calls) == 1  # exactly the pinned gemm
-            for a, b in zip(pinned_out, reference_out):
-                np.testing.assert_array_equal(a, b)
-        finally:
-            from repro.runtime.backends import _FACTORIES, _INSTANCES
-            _FACTORIES.pop("recording-test", None)
-            _INSTANCES.pop("recording-test", None)
-
-    def test_generic_pin_shadowed_by_specific_still_counts(self):
-        _, units = _mlp_units()
-        plan = compile_plan(
-            units,
-            pins={"gemm": "parallel", "unit0.gemm": "fast",
-                  "unit1.gemm": "fast"},
-        )
-        gemm_pins = [
-            step.backend for step in plan.steps if step.kind == "gemm"
-        ]
-        # The specific pins win on every gemm; the shadowed generic spec is
-        # not reported as a typo.
-        assert gemm_pins == ["fast", "fast"]
-
-    def test_invalid_pin_specs_rejected(self):
-        _, units = _mlp_units()
-        with pytest.raises(ValueError, match="invalid pin spec"):
-            compile_plan(units, pins={"bogus-layer": "fast"})
-        # 'fused' is a reserved kind no step carries; the spec could never
-        # match and must fail eager validation.
-        with pytest.raises(ValueError, match="invalid pin spec"):
-            validate_pins({"fused": "fast"})
-        with pytest.raises(ValueError, match="invalid pin spec"):
-            validate_pins({"unit0.fused": "fast"})
-        with pytest.raises(ValueError, match="unknown backend"):
-            compile_plan(units, pins={"gemm": "no-such-backend"})
-        with pytest.raises(ValueError, match="matched no step"):
-            compile_plan(units, pins={"depthwise": "fast"})
-        with pytest.raises(ValueError, match="matched no step"):
-            compile_plan(units, pins={"unit5": "fast"})
-
-    def test_configs_validate_pins_eagerly(self):
-        from repro.core.ff_trainer import FFConfig
-        from repro.serve import ServeConfig
-
-        with pytest.raises(ValueError, match="invalid pin spec"):
-            FFConfig(pins={"not a layer": "fast"})
-        with pytest.raises(ValueError, match="unknown backend"):
-            ServeConfig(pins={"gemm": "fats"})
-        assert ServeConfig(pins={"gemm": "parallel"}).pins == {
-            "gemm": "parallel"
-        }
-        assert validate_pins({"unit0.gemm": "fast"}) == {"unit0.gemm": "fast"}
-
-
 class TestParallelBackend:
     """The parallel backend must be bit-identical to the reference backend."""
 
@@ -685,6 +600,13 @@ class TestParallelBackend:
             matrices["reference"], matrices["parallel"]
         )
 
+    def test_gemms_are_the_fast_kernels(self):
+        # Row-tiled GEMMs never beat one BLAS call on a measured shape, so
+        # parallel inherits fast's GEMMs and only adds depthwise tiles.
+        assert ParallelBackend.int8_gemm is FastBackend.int8_gemm
+        assert (ParallelBackend.rowwise_quantized_gemm
+                is FastBackend.rowwise_quantized_gemm)
+
     def test_single_worker_delegates_to_fast(self):
         backend = ParallelBackend(num_workers=1)
         rng = np.random.default_rng(0)
@@ -695,23 +617,34 @@ class TestParallelBackend:
             np.asarray(backend.int8_gemm(lhs, rhs), dtype=np.int64),
             np.asarray(FastBackend().int8_gemm(lhs, rhs), dtype=np.int64),
         )
+        # Depthwise tiles run inline on the calling thread: no pool.
+        cols, weight = _int8(rng, (64, 4, 9)), _int8(rng, (4, 9))
+        np.testing.assert_array_equal(
+            backend.int8_depthwise(cols, weight),
+            ReferenceBackend().int8_depthwise(cols, weight),
+        )
+        assert not backend.pool_active
 
 
 class TestParallelPoolLifecycle:
-    """Pool lifecycle of a real multi-tile two-worker parallel backend."""
+    """Pool lifecycle of a real multi-tile two-worker parallel backend.
+
+    Only the depthwise kernels tile (the GEMMs are ``fast``'s), so every
+    test starts its pool through ``int8_depthwise``.
+    """
 
     def test_shutdown_is_idempotent_and_restartable(self):
         backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
         rng = np.random.default_rng(0)
-        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
-        first = np.asarray(backend.int8_gemm(lhs, rhs))
+        cols, weight = _int8(rng, (64, 4, 9)), _int8(rng, (4, 9))
+        first = np.asarray(backend.int8_depthwise(cols, weight))
         assert backend._pool is not None
         assert backend.pool_active
         backend.shutdown()
         backend.shutdown()
         assert backend._pool is None and not backend.pool_active
         np.testing.assert_array_equal(
-            np.asarray(backend.int8_gemm(lhs, rhs)), first
+            np.asarray(backend.int8_depthwise(cols, weight)), first
         )
         assert backend._pool is not None
         backend.shutdown()
@@ -719,18 +652,18 @@ class TestParallelPoolLifecycle:
     def test_context_manager_shuts_down(self):
         rng = np.random.default_rng(0)
         with ParallelBackend(num_workers=2, min_rows_per_tile=1) as backend:
-            backend.int8_gemm(_int8(rng, (64, 16)), _int8(rng, (16, 4)))
+            backend.int8_depthwise(_int8(rng, (64, 4, 9)), _int8(rng, (4, 9)))
             assert backend._pool is not None
         assert backend._pool is None
 
     def test_foreign_pool_is_discarded_not_joined(self):
         backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
         rng = np.random.default_rng(0)
-        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
-        want = np.asarray(backend.int8_gemm(lhs, rhs))
+        cols, weight = _int8(rng, (64, 4, 9)), _int8(rng, (4, 9))
+        want = np.asarray(backend.int8_depthwise(cols, weight))
         inherited = backend._pool
         backend._pool_pid = backend._pool_pid - 1  # pretend we forked
-        got = np.asarray(backend.int8_gemm(lhs, rhs))
+        got = np.asarray(backend.int8_depthwise(cols, weight))
         np.testing.assert_array_equal(got, want)
         assert backend._pool is not inherited
         inherited.shutdown(wait=True)
@@ -740,15 +673,15 @@ class TestParallelPoolLifecycle:
     def test_real_fork_child_does_not_hang_on_inherited_pool(self):
         backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
         rng = np.random.default_rng(0)
-        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
-        want = np.asarray(backend.int8_gemm(lhs, rhs))
+        cols, weight = _int8(rng, (64, 4, 9)), _int8(rng, (4, 9))
+        want = np.asarray(backend.int8_depthwise(cols, weight))
         assert backend._pool is not None  # the child will inherit this
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
                 signal.alarm(30)
-                got = np.asarray(backend.int8_gemm(lhs, rhs))
+                got = np.asarray(backend.int8_depthwise(cols, weight))
                 if np.array_equal(got, want):
                     status = 0
                 backend.shutdown()

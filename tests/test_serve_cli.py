@@ -120,34 +120,25 @@ class TestServeBenchCommand:
         assert "WARNING" not in out
 
 
-class TestAutoPinCLI:
-    def test_serve_bench_pin_auto_resolves_every_layer(self, tmp_path,
-                                                       capsys):
-        artifact = tmp_path / "artifact"
-        main([
-            "export", "--model", "mlp-mini", "--epochs", "1",
-            "--train-samples", "48", "--test-samples", "24",
-            "--output", str(artifact),
-        ])
-        capsys.readouterr()
+class TestBackendCLI:
+    def test_serve_bench_traces_depthwise_steps_on_parallel(self, capsys):
         code = main([
-            "serve-bench", "--artifact", str(artifact), "--requests", "24",
-            "--test-samples", "24", "--pin", "auto",
+            "serve-bench", "--model", "mobilenet_v2-mini", "--dataset",
+            "cifar10", "--epochs", "1", "--train-samples", "16",
+            "--test-samples", "8", "--requests", "8", "--max-batch-size",
+            "4", "--backend", "parallel", "--trace", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "auto-pinned plan (measured winners)" in out
-        # Every GEMM-bearing step reports its resolved backend pin, and the
-        # batched answers still match the engine (bit-identity).
-        assert "pin=" in out
+        assert re.search(r"unit\d+\.depthwise .*\[backend=parallel", out)
         assert "WARNING" not in out
 
-    def test_pin_auto_rejects_mixed_specs(self):
-        with pytest.raises(SystemExit):
-            main([
-                "serve-bench", "--pin", "auto", "--pin", "gemm=fast",
-                "--requests", "1",
-            ])
+    @pytest.mark.parametrize("spec", ["auto", "gemm=fast"])
+    def test_pin_flag_is_rejected(self, spec, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve-bench", "--pin", spec])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --pin" in capsys.readouterr().err
 
 
 class _LabelEngine:

@@ -11,7 +11,7 @@ from repro.core import (
     save_ff_checkpoint,
 )
 from repro.models import build_mlp, build_model
-from repro.runtime import register_backend
+from repro.runtime import register_backend, set_default_backend
 from repro.runtime.backends import ParallelBackend
 from repro.serve import (
     InferenceArtifact,
@@ -358,7 +358,19 @@ class TestTrainedRoundTrip:
         assert isinstance(artifact, InferenceArtifact)
 
 
+def _mobilenet_mini(seed):
+    return build_model("mobilenet_v2-mini", input_shape=(3, 16, 16),
+                       seed=seed)
+
+
 class TestEnginePoolLifecycle:
+    """Pool lifecycle of engines over a depthwise model.
+
+    ``mobilenet_v2-mini`` has depthwise layers, the only kernels the
+    parallel backend tiles across its worker pool, so a live pool proves a
+    tile ran on a worker.
+    """
+
     @staticmethod
     def _tiled():
         """A real multi-tile backend: two worker threads, one-row tiles."""
@@ -367,11 +379,11 @@ class TestEnginePoolLifecycle:
     def test_close_shuts_down_plan_backends(self):
         backend = self._tiled()
         try:
-            artifact = _export(_mlp_h2, "sum_squares")
+            artifact = _export(_mobilenet_mini, "sum_squares")
             engine = build_engine(
-                artifact, _mlp_h2(seed=0), backend=backend
+                artifact, _mobilenet_mini(seed=0), backend=backend
             )
-            engine.predict(_inputs((1, 14, 14), 40))
+            engine.predict(_inputs((3, 16, 16), 4))
             assert backend.pool_active
             engine.close()
             assert not backend.pool_active
@@ -379,35 +391,44 @@ class TestEnginePoolLifecycle:
         finally:
             backend.shutdown()
 
-    def test_close_reaches_every_cached_plan(self):
-        # A plan swapped out of the active slot still holds its backend's
-        # pool; close() must release it too, not just the active plan's.
-        pinned = self._tiled()
-        register_backend("tiled-pin-test", lambda: pinned)
+    def test_close_releases_the_backend_resolved_at_build(self):
+        # The engine's backend is fixed when it is built: a later change of
+        # the process default moves neither predict nor close(), so close()
+        # releases exactly the pool predict used.
+        tiled = self._tiled()
+        register_backend("tiled-close-test", lambda: tiled)
+        artifact = _export(_mobilenet_mini, "sum_squares")
+        inputs = _inputs((3, 16, 16), 4)
         try:
-            artifact = _export(_mlp_h2, "sum_squares")
-            engine = build_engine(artifact, _mlp_h2(seed=0), backend="fast")
-            engine.apply_pins({"gemm": "tiled-pin-test"})
-            engine.predict(_inputs((1, 14, 14), 40))
-            assert pinned.pool_active
-            engine.apply_pins(None)
-            engine.close()
-            assert not pinned.pool_active
+            set_default_backend("fast")
+            on_fast = build_engine(artifact, _mobilenet_mini(seed=0))
+            set_default_backend("tiled-close-test")
+            on_tiled = build_engine(artifact, _mobilenet_mini(seed=1))
+            labels = on_fast.predict(inputs)
+            on_fast.close()
+            assert not tiled.pool_active  # predict stayed on fast
+
+            set_default_backend("fast")
+            np.testing.assert_array_equal(on_tiled.predict(inputs), labels)
+            assert tiled.pool_active  # predict stayed on the tiled backend
+            on_tiled.close()
+            assert not tiled.pool_active
         finally:
+            set_default_backend(None)
             from repro.runtime.backends import _FACTORIES, _INSTANCES
 
-            _FACTORIES.pop("tiled-pin-test", None)
-            _INSTANCES.pop("tiled-pin-test", None)
-            pinned.shutdown()
+            _FACTORIES.pop("tiled-close-test", None)
+            _INSTANCES.pop("tiled-close-test", None)
+            tiled.shutdown()
 
     def test_context_manager_closes(self):
         backend = self._tiled()
         try:
-            artifact = _export(_mlp_h2, "sum_squares")
+            artifact = _export(_mobilenet_mini, "sum_squares")
             with build_engine(
-                artifact, _mlp_h2(seed=0), backend=backend
+                artifact, _mobilenet_mini(seed=0), backend=backend
             ) as engine:
-                engine.predict(_inputs((1, 14, 14), 40))
+                engine.predict(_inputs((3, 16, 16), 4))
                 assert backend.pool_active
             assert not backend.pool_active
         finally:
@@ -416,29 +437,15 @@ class TestEnginePoolLifecycle:
     def test_tiled_engine_matches_reference(self):
         backend = self._tiled()
         try:
-            artifact = _export(_mlp_h2, "sum_squares")
-            inputs = _inputs((1, 14, 14), 48)
+            artifact = _export(_mobilenet_mini, "sum_squares")
+            inputs = _inputs((3, 16, 16), 8)
             with build_engine(
-                artifact, _mlp_h2(seed=0), backend=backend
+                artifact, _mobilenet_mini(seed=0), backend=backend
             ) as engine:
                 tiled = engine.predict(inputs)
             reference = build_engine(
-                artifact, _mlp_h2(seed=1), backend="reference"
+                artifact, _mobilenet_mini(seed=1), backend="reference"
             ).predict(inputs)
             np.testing.assert_array_equal(tiled, reference)
         finally:
             backend.shutdown()
-
-    def test_apply_pins_auto_restages_and_stays_exact(self):
-        artifact = _export(_mlp_h2, "sum_squares")
-        inputs = _inputs((1, 14, 14), 32)
-        engine = build_engine(artifact, _mlp_h2(seed=0))
-        baseline = engine.predict(inputs)
-        engine.apply_pins("auto", batch_size=16)
-        assert all(
-            step.backend is not None
-            for step in engine.executor.plan.steps
-            if step.kind == "gemm"
-        )
-        np.testing.assert_array_equal(engine.predict(inputs), baseline)
-        engine.close()
